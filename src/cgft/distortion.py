@@ -414,10 +414,23 @@ def lens_diam_bound_linear(
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Convex hull (monotone chain) of an (k, 2) array, k >= 1."""
-    pts = np.unique(points, axis=0)
+    # Exact prefilter in x order, ties in any order: a point with higher
+    # points both before and after it lies strictly below the upper hull
+    # (likewise for lower points and the lower hull), so only running
+    # extrema of y from either end can be vertices.
+    pts = points[np.argsort(points[:, 0])]
+    y = pts[:, 1]
+    rev = y[::-1]
+    pts = pts[
+        (y >= np.maximum.accumulate(y))
+        | (y >= np.maximum.accumulate(rev)[::-1])
+        | (y <= np.minimum.accumulate(y))
+        | (y <= np.minimum.accumulate(rev)[::-1])
+    ]
+    pts = np.unique(pts, axis=0)  # lexicographic, as the chain needs
     if len(pts) <= 2:
         return pts
-    # np.unique sorts lexicographically, exactly what the chain needs
+
     def half(chain_pts: np.ndarray) -> list[np.ndarray]:
         out: list[np.ndarray] = []
         for p in chain_pts:
@@ -433,6 +446,38 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     lower = half(pts)
     upper = half(pts[::-1])
     return np.asarray(lower[:-1] + upper[:-1])
+
+
+#: relative widening of the squared-norm screen in _in_annuli, far above
+#: the rounding gap between x*x + y*y and hypot(x, y)**2
+_SCREEN_MARGIN = 1e-9
+
+
+def _square_window(lo: float, hi: float) -> tuple[float, float]:
+    """Squared-norm bounds holding every point whose hypot lies in [lo, hi].
+
+    The absolute 1e-300 covers squares that underflow.
+    """
+    lo2 = max(lo * (1.0 - _SCREEN_MARGIN), 0.0) ** 2 - 1e-300
+    return lo2, (hi * (1.0 + _SCREEN_MARGIN)) ** 2 + 1e-300
+
+
+def _in_annuli(
+    px: np.ndarray, py: np.ndarray, in1: float, out1: float, in2: float, out2: float
+) -> np.ndarray:
+    """Indices of the points with |p| in [in1, out1] and |p - e1| in [in2, out2].
+
+    np.hypot decides, exactly as a plain hypot test would; a widened
+    squared-norm screen first drops the points that are clearly outside.
+    """
+    lo1, hi1 = _square_window(in1, out1)
+    lo2, hi2 = _square_window(in2, out2)
+    s1 = px * px + py * py
+    s2 = (px - 1.0) ** 2 + py * py
+    idx = np.flatnonzero((s1 >= lo1) & (s1 <= hi1) & (s2 >= lo2) & (s2 <= hi2))
+    d1 = np.hypot(px[idx], py[idx])
+    d2 = np.hypot(px[idx] - 1.0, py[idx])
+    return idx[(d1 <= out1) & (d1 >= in1) & (d2 <= out2) & (d2 >= in2)]
 
 
 def lens_diam_brute(
@@ -465,11 +510,9 @@ def lens_diam_brute(
         batch = min(budget, 1 << 16)
         px = rng.uniform(xlo, xhi, batch)
         py = rng.uniform(ylo, yhi, batch)
-        d1 = np.hypot(px, py)
-        d2 = np.hypot(px - 1.0, py)
-        mask = (d1 <= out1) & (d1 >= in1) & (d2 <= out2) & (d2 >= in2)
-        if mask.any():
-            keep = np.column_stack((px[mask], py[mask]))[: N - got]
+        idx = _in_annuli(px, py, in1, out1, in2, out2)
+        if idx.size:
+            keep = np.column_stack((px[idx], py[idx]))[: N - got]
             accepted.append(keep)
             got += len(keep)
         budget -= batch

@@ -401,11 +401,64 @@ def r_ratio(D: DomainSpec, A: Iterable) -> float:
     return diam / dist
 
 
+#: rows of the sample-to-sample chordal table evaluated at once; bounds the
+#: temporaries of seittenranta and apollonian to O(_SUP_ROWS * m) floats
+_SUP_ROWS = 128
+
+
+def _coords(pts: Sequence[ExtendedPoint], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) coordinates (zeros at infinity) and the infinity mask of pts."""
+    inf = np.array([p.is_infinity for p in pts], dtype=bool)
+    X = np.array([(0.0,) * n if p.is_infinity else p.coords for p in pts], dtype=float)
+    return X, inf
+
+
+def _chordal_table(
+    A: np.ndarray, a_inf: np.ndarray, B: np.ndarray, b_inf: np.ndarray
+) -> np.ndarray:
+    """Chordal distances q(a_i, b_j) as an array of shape (len(A), len(B))."""
+    d2 = sum((A[:, None, k] - B[None, :, k]) ** 2 for k in range(A.shape[1]))
+    num = np.where(a_inf[:, None] | b_inf[None, :], 1.0, np.sqrt(d2))
+    num[a_inf[:, None] & b_inf[None, :]] = 0.0
+    wa = np.sqrt(1.0 + (A * A).sum(axis=1))
+    wb = np.sqrt(1.0 + (B * B).sum(axis=1))
+    return num / (wa[:, None] * wb[None, :])
+
+
+def _sample_sup(
+    D: DomainSpec, px: ExtendedPoint, py: ExtendedPoint, ratio: Callable[..., np.ndarray]
+) -> float:
+    """Max of a chordal ratio over ordered pairs of boundary samples.
+
+    ``ratio(qab, qax, qay, qbx, qby)`` receives one row block of the table
+    q(a, b), the block rows' distances to x and y as columns, and every
+    sample's distances to x and y as rows.  Pairs with a == b need no
+    mask: q(a, b) = 0 makes Seittenranta's ratio 0, and Apollonian's ratio
+    divides one product by itself, exactly 1; neither exceeds the value
+    that metric's supremum starts from.
+    """
+    n = _same_dimension(px, py, *D.boundary_samples)
+    S, s_inf = _coords(D.boundary_samples, n)
+    P, p_inf = _coords((px, py), n)
+    qx, qy = _chordal_table(P, p_inf, S, s_inf)
+    if not (qx.min() > 0.0 and qy.min() > 0.0):
+        raise ValueError("x and y must lie apart from every boundary sample")
+    best = 0.0
+    for lo in range(0, len(S), _SUP_ROWS):
+        rows = slice(lo, lo + _SUP_ROWS)
+        qab = _chordal_table(S[rows], s_inf[rows], S, s_inf)
+        v = ratio(qab, qx[rows, None], qy[rows, None], qx[None, :], qy[None, :])
+        best = max(best, float(v.max()))
+    return best
+
+
 def seittenranta(D: DomainSpec, x, y) -> MetricValue:
     """Seittenranta's metric log(1 + sup_{a,b in bd} |a,x,b,y|).
 
     The supremum runs over ordered pairs of boundary samples; the result is
-    exact only when the samples exhaust the boundary.
+    exact only when the samples exhaust the boundary.  With m
+    samples it costs O(m^2) arithmetic on arrays, taken in blocks of
+    ``_SUP_ROWS`` table rows, so temporary memory stays O(m).
     """
     if len(D.boundary_samples) < 2:
         raise ValueError("seittenranta needs at least 2 boundary samples")
@@ -413,15 +466,9 @@ def seittenranta(D: DomainSpec, x, y) -> MetricValue:
     if px == py:
         return MetricValue(0.0, exact=True)
     qxy = chordal(px, py)
-    best = 0.0
-    for a in D.boundary_samples:
-        qax = chordal(a, px)
-        for b in D.boundary_samples:
-            if a == b:
-                continue
-            v = (chordal(a, b) * qxy) / (qax * chordal(b, py))
-            if v > best:
-                best = v
+    best = _sample_sup(
+        D, px, py, lambda qab, qax, qay, qbx, qby: (qab * qxy) / (qax * qby)
+    )
     return MetricValue(math.log1p(best), exact=D.boundary_samples_exhaustive)
 
 
@@ -429,24 +476,18 @@ def apollonian(D: DomainSpec, x, y) -> MetricValue:
     """Apollonian metric sup_{a,b in bd} log |a,x,y,b| over boundary samples.
 
     The caller asserts that the complement is not contained in a sphere or
-    hyperplane (otherwise this is only a pseudometric).
+    hyperplane (otherwise this is only a pseudometric).  Cost and memory
+    are those of :func:`seittenranta`: O(m^2) arithmetic, O(m) memory.
     """
     if len(D.boundary_samples) < 2:
         raise ValueError("apollonian needs at least 2 boundary samples")
     px, py = as_point(x), as_point(y)
     if px == py:
         return MetricValue(0.0, exact=True)
-    best = 1.0
-    for a in D.boundary_samples:
-        qay = chordal(a, py)
-        qax = chordal(a, px)
-        for b in D.boundary_samples:
-            if a == b:
-                continue
-            v = (qay * chordal(px, b)) / (qax * chordal(py, b))
-            if v > best:
-                best = v
-    return MetricValue(math.log(best), exact=D.boundary_samples_exhaustive)
+    best = _sample_sup(
+        D, px, py, lambda qab, qax, qay, qbx, qby: (qay * qbx) / (qax * qby)
+    )
+    return MetricValue(math.log(max(best, 1.0)), exact=D.boundary_samples_exhaustive)
 
 
 def hyperbolic_ball(x, y) -> float:

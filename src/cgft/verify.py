@@ -104,17 +104,26 @@ class VerifyReport:
 
 
 class _Tracker:
-    """Running minimum slack with the grid label attaining it."""
+    """Running minimum slack with the grid label attaining it.
+
+    A NaN slack fails its check: it becomes the minimum, the first one
+    gives the argmin, and no later slack replaces it.  A tracker that saw
+    no slack at all reports NaN at "empty grid", so an empty grid fails too.
+    """
 
     def __init__(self) -> None:
-        self.min_slack = math.inf
+        self.min_slack = math.nan
         self.argmin = "empty grid"
+        self.empty = True
 
     def add(self, slack: float, where: str) -> None:
         slack = float(slack)
-        if slack < self.min_slack:
+        # "not >=" also holds for a NaN slack
+        below = not math.isnan(self.min_slack) and not slack >= self.min_slack
+        if self.empty or below:
             self.min_slack = slack
             self.argmin = where
+            self.empty = False
 
     def residual(self, value: float, target: float, tol: float, where: str) -> None:
         """Identity component: shifted slack tol - |value - target|."""
@@ -385,7 +394,8 @@ def _chk_j_below_k(cfg, t):
 @_register(
     "absolute-ratio-metric-sandwich",
     "absolute-ratio-metric-sandwich",
-    "punctured plane: 25 pairs exact; half plane: 15 pairs sampled sup",
+    "punctured plane: 25 pairs exact; half plane: 15 pairs sampled sup, "
+    "161 samples plus both feet and infinity",
 )
 def _chk_sandwich(cfg, t):
     rng = np.random.default_rng(cfg.seed + 104)
@@ -399,11 +409,14 @@ def _chk_sandwich(cfg, t):
     for i in range(15):
         x = (float(rng.uniform(-2, 2)), float(rng.uniform(0.2, 2.0)))
         y = (float(rng.uniform(-2, 2)), float(rng.uniform(0.2, 2.0)))
+        # the feet of x and y with infinity give |foot, x, oo, y| = |x-y|/d(x)
+        # and its y counterpart, so the sampled sup reaches j up to rounding
+        feet = (mt.ExtendedPoint((x[0], 0.0)), mt.ExtendedPoint((y[0], 0.0)))
+        sampled = half.with_flags(boundary_samples=half.boundary_samples + feet)
         j = mt.j_metric(half, x, y)
-        d = mt.seittenranta(half, x, y).value
+        d = mt.seittenranta(sampled, x, y).value
         t.add(2.0 * j + 1e-9 - d, f"half upper #{i}")
-        # the sampled boundary sup undershoots; allow its discretization slack
-        t.add(d - j + 5e-3, f"half lower #{i}")
+        t.add(d - j + 1e-12 * max(1.0, j), f"half lower #{i}")
 
 
 @_register(
@@ -1199,15 +1212,15 @@ def run_verify(
             continue
         tracker = _Tracker()
         check.fn(cfg, tracker)
-        min_slack = tracker.min_slack if math.isfinite(tracker.min_slack) else 0.0
         entries.append(
             VerifyEntry(
                 check_id=check.check_id,
                 provenance=check.provenance,
                 grid_spec=check.grid_spec,
-                min_slack=min_slack,
+                min_slack=tracker.min_slack,
                 argmin=tracker.argmin,
-                passed=min_slack >= -check.tolerance,
+                # False for NaN: a NaN slack or an empty grid fails
+                passed=tracker.min_slack >= -check.tolerance,
                 tolerance=check.tolerance,
             )
         )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cgft.distortion as ds
 from cgft.distortion import (
     DistortionBound,
     GENERAL_LINEAR_RATE,
@@ -345,6 +346,112 @@ class TestLensBounds:
                 assert brute <= lens_diam_bound_linear(
                     cfg["x"], cfg["eps"], cfg["omega"]
                 )
+
+
+def plain_chain(points):
+    """Monotone chain over every point, without the prefilter (reference)."""
+    pts = np.unique(points, axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def half(chain_pts):
+        out = []
+        for p in chain_pts:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower, upper = half(pts), half(pts[::-1])
+    return np.asarray(lower[:-1] + upper[:-1])
+
+
+def crescent(rng, k):
+    """Points of the unit disk outside a shifted disk, rotated at random."""
+    p = rng.uniform(-1.0, 1.0, size=(4 * k, 2))
+    p = p[(np.hypot(p[:, 0], p[:, 1]) <= 1.0) & (np.hypot(p[:, 0] - 0.35, p[:, 1]) >= 0.8)]
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    return p[:k] @ rot.T
+
+
+def hypot_hits(px, py, in1, out1, in2, out2):
+    """The plain hypot acceptance test of the lens sampler (reference)."""
+    d1 = np.hypot(px, py)
+    d2 = np.hypot(px - 1.0, py)
+    return np.flatnonzero((d1 <= out1) & (d1 >= in1) & (d2 <= out2) & (d2 >= in2))
+
+
+class TestLensKernels:
+    """The hull prefilter and the sampler's screen against plain versions."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hull_matches_plain_chain_on_crescents(self, seed):
+        pts = crescent(np.random.default_rng(seed), 3000)
+        assert np.array_equal(ds._convex_hull(pts), plain_chain(pts))
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.column_stack((np.arange(9.0), 2.0 * np.arange(9.0) + 1.0)),
+            np.column_stack((np.arange(9.0), -np.arange(9.0))),
+            np.column_stack((np.arange(9.0), np.full(9, 0.5))),
+            np.column_stack((np.full(9, -1.0), np.arange(9.0))),
+            np.array([[0.3, 0.4]]),
+            np.array([[0.3, 0.4], [0.3, 0.4], [-1.0, 2.0]]),
+        ],
+        ids=["slope 2", "slope -1", "horizontal", "vertical", "one point", "two points"],
+    )
+    def test_hull_matches_plain_chain_on_collinear_sets(self, pts):
+        rng = np.random.default_rng(1)
+        pts = pts[rng.permutation(len(pts))]
+        assert np.array_equal(ds._convex_hull(pts), plain_chain(pts))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hull_matches_plain_chain_with_duplicates_and_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(0, 6, size=(200, 2)).astype(float)  # many equal x
+        copies = np.repeat(crescent(rng, 300), 3, axis=0)
+        for pts in (grid, copies[rng.permutation(len(copies))]):
+            assert np.array_equal(ds._convex_hull(pts), plain_chain(pts))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.6, 0.8, 0.5, 0.7), (6e-161, 8e-161, 1.0, 1.0)],
+        ids=["unit scale", "squares underflow"],
+    )
+    def test_screen_keeps_points_on_the_rims(self, bounds):
+        # points a few ulps inside and outside each of the four rim circles
+        in1, out1, in2, out2 = bounds
+        ang = np.linspace(0.0, 2.0 * math.pi, 97)
+        pts = []
+        for cx, r in ((0.0, in1), (0.0, out1), (1.0, in2), (1.0, out2)):
+            for k in range(-3, 4):
+                rr = r * (1.0 + k * 2.0**-52)
+                pts.append(np.column_stack((cx + rr * np.cos(ang), rr * np.sin(ang))))
+        px, py = np.concatenate(pts).T
+        want = hypot_hits(px, py, *bounds)
+        assert want.size > 0
+        assert np.array_equal(ds._in_annuli(px, py, *bounds), want)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_brute_accepts_the_hypot_points(self, seed, monkeypatch):
+        real, batches = ds._in_annuli, []
+
+        def checked(px, py, *bounds):
+            got = real(px, py, *bounds)
+            assert np.array_equal(got, hypot_hits(px, py, *bounds))
+            batches.append(len(got))
+            return got
+
+        monkeypatch.setattr(ds, "_in_annuli", checked)
+        for i, cfg in enumerate(lens_admissible_configs(100, seed)):
+            lens_diam_brute(cfg["x"], cfg["eps"], 10**4, seed=seed + i)
+        assert len(batches) >= 100 and sum(batches) > 0
 
 
 class TestEpsToK:

@@ -238,6 +238,103 @@ class TestApollonian:
             assert a >= j - 5e-3
 
 
+def loop_sup(metric, D, x, y):
+    """The scalar double loop over boundary samples, kept as the reference."""
+    px, py = as_point(x), as_point(y)
+    samples = D.boundary_samples
+    if metric == "seittenranta":
+        qxy = chordal(px, py)
+        best = 0.0
+        for a in samples:
+            qax = chordal(a, px)
+            for b in samples:
+                if a != b:
+                    best = max(best, (chordal(a, b) * qxy) / (qax * chordal(b, py)))
+        return math.log1p(best)
+    best = 1.0
+    for a in samples:
+        qay, qax = chordal(a, py), chordal(a, px)
+        for b in samples:
+            if a != b:
+                best = max(best, (qay * chordal(px, b)) / (qax * chordal(py, b)))
+    return math.log(best)
+
+
+def duplicated_samples():
+    """A half plane whose 141 samples repeat a few points, infinity among them,
+    past the first row block of the kernel."""
+    D = canonical_domain("half_space", 2, boundary_samples=140)
+    s = D.boundary_samples
+    return D.with_flags(boundary_samples=s + (s[3], INFINITY, s[0], s[139]))
+
+
+def disk_exterior():
+    """The complement of the closed unit disk, infinity an interior point."""
+    return DomainSpec(
+        dimension=2,
+        dist_to_boundary=lambda X: np.linalg.norm(X, axis=-1) - 1.0,
+        boundary_samples=canonical_domain("ball", 2, 40).boundary_samples,
+    )
+
+
+SUP_CASES = [
+    ("ball", lambda: canonical_domain("ball", 2, 40), (0.3, -0.2), (-0.5, 0.4)),
+    ("ball rows > block", lambda: canonical_domain("ball", 2, 130), (0.1, 0.6), (-0.7, -0.1)),
+    ("ball 3-D", lambda: canonical_domain("ball", 3, 40), (0.2, 0.1, -0.3), (-0.4, 0.2, 0.1)),
+    ("half_space with oo", lambda: canonical_domain("half_space", 2, 40), (0.5, 0.7), (-1.2, 0.3)),
+    ("half_space far from bd", lambda: canonical_domain("half_space", 2, 40), (0.0, 5.0), (3.0, 6.0)),
+    ("disk exterior, x = oo", disk_exterior, INFINITY, (2.0, 0.5)),
+    ("half_space 3-D", lambda: canonical_domain("half_space", 3, 25), (0.5, 0.2, 0.7), (-1.0, 0.4, 0.3)),
+    ("punctured_ball", lambda: canonical_domain("punctured_ball", 2, 40), (0.3, 0.2), (-0.1, -0.6)),
+    ("segment_complement", lambda: canonical_domain("segment_complement", 2, 40), (0.5, 0.3), (1.5, -0.2)),
+    ("duplicate samples", duplicated_samples, (0.4, 0.9), (2.5, 0.2)),
+]
+
+
+class TestBoundarySupKernel:
+    """The array kernel against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("metric", ["seittenranta", "apollonian"])
+    @pytest.mark.parametrize("label,make,x,y", SUP_CASES, ids=[c[0] for c in SUP_CASES])
+    def test_matches_scalar_loop(self, metric, label, make, x, y):
+        D = make()
+        fn = seittenranta if metric == "seittenranta" else apollonian
+        assert fn(D, x, y).value == pytest.approx(loop_sup(metric, D, x, y), rel=1e-12)
+        assert fn(D, y, x).value == pytest.approx(loop_sup(metric, D, y, x), rel=1e-12)
+
+    @pytest.mark.parametrize("fn", [seittenranta, apollonian])
+    def test_mixed_dimensions_rejected(self, fn):
+        with pytest.raises(ValueError, match="mixed point dimensions"):
+            fn(canonical_domain("ball", 2, 8), (0.1, 0.2, 0.3), (0.2, 0.1, 0.0))
+
+    @pytest.mark.parametrize("fn", [seittenranta, apollonian])
+    def test_point_on_a_sample_rejected(self, fn):
+        D = canonical_domain("punctured_space", 2)
+        with pytest.raises(ValueError, match="apart from every boundary sample"):
+            fn(D, (0.0, 0.0), (1.0, 1.0))
+
+    def test_only_equal_samples_gives_zero(self):
+        D = canonical_domain("ball", 2).with_flags(
+            boundary_samples=(ExtendedPoint((1.0, 0.0)), ExtendedPoint((1.0, -0.0)))
+        )
+        assert seittenranta(D, (0.1, 0.0), (0.0, 0.2)).value == 0.0
+        assert apollonian(D, (0.1, 0.0), (0.0, 0.2)).value == 0.0
+
+    def test_memory_does_not_grow_with_the_square(self):
+        import tracemalloc
+
+        m = 3000
+        D = canonical_domain("half_space", 2, boundary_samples=m)
+        tracemalloc.start()
+        try:
+            seittenranta(D, (0.3, 0.5), (1.2, 1.7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one full m x m float table would take 8 m^2 bytes (72 MB)
+        assert peak < 8 * m * m / 3
+
+
 class TestHyperbolicBall:
     def test_radial_formula(self):
         x = (0.5, 0.0)

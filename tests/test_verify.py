@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
 
+from cgft import verify
 from cgft.verify import (
     DOCUMENTED_TOTAL,
     SKIP_NOTE,
@@ -126,3 +128,52 @@ class TestReportShape:
     def test_argmin_is_string_serialized(self, full_report):
         for e in full_report.entries:
             assert isinstance(e.argmin, str) and e.argmin, e.check_id
+
+
+class TestVerdicts:
+    @staticmethod
+    def run_synthetic(monkeypatch, fn):
+        check = verify._Check("synthetic", "synthetic", "synthetic grid", 1e-12, (), fn)
+        monkeypatch.setattr(verify, "_REGISTRY", [check])
+        (entry,) = run_verify().entries
+        return entry
+
+    def test_nan_slack_fails_and_is_the_argmin(self, monkeypatch):
+        def fn(cfg, t):
+            t.add(0.5, "a")
+            t.add(math.nan, "b")
+            t.add(-1.0, "c")
+            t.add(math.nan, "d")
+
+        e = self.run_synthetic(monkeypatch, fn)
+        assert not e.passed
+        assert math.isnan(e.min_slack)
+        assert e.argmin == "b"
+
+    def test_empty_grid_fails(self, monkeypatch):
+        e = self.run_synthetic(monkeypatch, lambda cfg, t: None)
+        assert not e.passed
+        assert math.isnan(e.min_slack)
+        assert e.argmin == "empty grid"
+
+    def test_infinite_slacks_keep_their_sign(self, monkeypatch):
+        e = self.run_synthetic(monkeypatch, lambda cfg, t: t.add(-math.inf, "x"))
+        assert not e.passed and e.min_slack == -math.inf
+        e = self.run_synthetic(monkeypatch, lambda cfg, t: t.add(math.inf, "x"))
+        assert e.passed and e.argmin == "x"
+
+    def test_infinite_uniform_constant_fails_its_check(self):
+        # every point of the monotonicity grid is NaN for uniform_c = inf
+        cfg = VerifyConfig(uniform_c=math.inf)
+        (e,) = run_verify("^uniform-domain-growth-constant$", cfg).entries
+        assert not e.passed
+        assert math.isnan(e.min_slack)
+        assert e.note != SKIP_NOTE
+
+    def test_sandwich_passes_for_every_seed(self):
+        # the feet of x and y make the sampled supremum reach j exactly, so
+        # the lower side needs no discretization allowance on any seed
+        for seed in range(300):
+            cfg = VerifyConfig(seed=seed)
+            (e,) = run_verify("^absolute-ratio-metric-sandwich$", cfg).entries
+            assert e.passed, (seed, e.min_slack, e.argmin)
