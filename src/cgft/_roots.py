@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 
@@ -45,33 +44,3 @@ def bisect_monotone(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def invert_decreasing_on_positive(
-    f: Callable[[float], float],
-    y: float,
-    *,
-    t0: float = 1.0,
-    xtol: float = 1e-13,
-) -> float:
-    """Solve f(t) = y for a decreasing f on (0, oo), expanding the bracket.
-
-    The bracket grows geometrically from t0 in whichever direction is needed,
-    then the equation is bisected in log t so the tolerance is relative.
-    """
-    if y <= 0:
-        raise ValueError("invert_decreasing_on_positive needs y > 0")
-    lo = hi = t0
-    while f(lo) < y:
-        lo *= 0.25
-        if lo < 1e-300:
-            raise ValueError("no positive solution: f stays below the target")
-    while f(hi) > y:
-        hi *= 4.0
-        if hi > 1e300:
-            raise ValueError("no positive solution: f stays above the target")
-    if lo == hi:
-        return lo
-    u = bisect_monotone(
-        lambda v: f(math.exp(v)), y, math.log(lo), math.log(hi), xtol=xtol
-    )
-    return math.exp(u)

@@ -232,8 +232,9 @@ def circumscribed_lambda_radius(T: float) -> float:
     if not 0.0 < T < 0.5:
         raise ValueError("circumscribed_lambda_radius needs 0 < T < 1/2")
     s = math.sqrt((1.0 - 2.0 * T) * (1.0 + 2.0 * T))
-    # direct argument pi*T/(1+s) <= pi/2; its complementary value
-    # (pi/2)^2 / arg >= pi/2 always sits in mu_inv's well-conditioned range
+    # direct argument pi*T/(1+s) <= pi/2; at its complementary value
+    # (pi/2)^2 / arg >= pi/2 the preimage is the smaller modulus, which
+    # mu_inv takes straight from its theta series at full relative precision
     comp = math.pi * (1.0 + s) / (4.0 * T)
     rp = mu_inv(comp)
     theta = 4.0 * math.asin(rp)

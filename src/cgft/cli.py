@@ -340,7 +340,7 @@ def _cmd_verify(args, parser) -> int:
     )
     if args.json is not None:
         with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
     return 0 if report.all_passed else 1
 

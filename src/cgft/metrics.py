@@ -24,7 +24,6 @@ from .special_functions import (
     gamma_n_bounds,
     omega_sphere,
     tau_n_bounds,
-    teichmuller_p_circle,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "mu_bounds",
     "lambda_bounds",
     "lambda_inverse_bounds",
-    "lambda_punctured_plane_circle",
 ]
 
 
@@ -558,10 +556,8 @@ def _simpson_weights(m: int) -> np.ndarray:
     return w / 3.0
 
 
-def _segment_weight(
-    D: DomainSpec, a: np.ndarray, b: np.ndarray, m: int, density: str
-) -> float | None:
-    """Simpson value of the metric density along [a, b]; None if it exits."""
+def _segment_weight(D: DomainSpec, a: np.ndarray, b: np.ndarray, m: int) -> float | None:
+    """Simpson value of the density 1/d along [a, b]; None if it exits."""
     if m % 2 == 0:
         m += 1
     ts = np.linspace(0.0, 1.0, m)
@@ -572,16 +568,12 @@ def _segment_weight(
     length = float(np.linalg.norm(b - a))
     if length == 0.0:
         return 0.0
-    if density == "quasihyperbolic":
-        vals = 1.0 / d
-    else:  # inner Euclidean length
-        vals = np.ones_like(d)
     h = length / (m - 1)
-    return float(h * np.sum(_simpson_weights(m) * vals))
+    return float(h * np.sum(_simpson_weights(m) * (1.0 / d)))
 
 
 def _grid_shortest_path(
-    D: DomainSpec, ax: np.ndarray, ay: np.ndarray, level: int, density: str
+    D: DomainSpec, ax: np.ndarray, ay: np.ndarray, level: int
 ) -> float | None:
     n = D.dimension
     base = 8 if n == 2 else 4
@@ -611,7 +603,7 @@ def _grid_shortest_path(
     adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(nv)}
 
     def add_edge(i: int, k: int, m: int) -> None:
-        w = _segment_weight(D, V[i], V[k], m, density)
+        w = _segment_weight(D, V[i], V[k], m)
         if w is not None:
             adj[i].append((k, w))
             adj[k].append((i, w))
@@ -678,7 +670,7 @@ def quasihyperbolic_numeric(
     D.boundary_distance(py)
     prev: float | None = None
     for level in range(max_level + 1):
-        val = _grid_shortest_path(D, ax, ay, level, "quasihyperbolic")
+        val = _grid_shortest_path(D, ax, ay, level)
         if val is None:
             prev = None
             continue
@@ -691,25 +683,6 @@ def quasihyperbolic_numeric(
             f"at refinement level {max_level}"
         )
     return MetricValue(prev, exact=False)
-
-
-def _inner_length_numeric(D: DomainSpec, x, y, tol: float = 1e-3) -> float:
-    """Inner Euclidean length metric via the same graph; test support only."""
-    px, py = as_point(x), as_point(y)
-    if px == py:
-        return 0.0
-    ax, ay = px.array(), py.array()
-    prev: float | None = None
-    for level in range(4):
-        val = _grid_shortest_path(D, ax, ay, level, "length")
-        if val is None:
-            continue
-        if prev is not None and abs(val - prev) < tol:
-            return min(val, prev)
-        prev = val
-    if prev is None:
-        raise ConnectivityError("no admissible path for the inner length")
-    return prev
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +806,3 @@ def lambda_inverse_bounds(D: DomainSpec, x, y, *, c_n: float | None = None) -> I
     lo = 0.0 if math.isinf(iv.hi) else 1.0 / iv.hi
     return Interval(lo, hi)
 
-
-def lambda_punctured_plane_circle(theta: float) -> float:
-    """Extremal distance lambda(1, e^(i theta)) in the punctured plane."""
-    return teichmuller_p_circle(theta)

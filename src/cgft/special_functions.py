@@ -2,18 +2,20 @@
 
 In dimension 2 everything reduces to the arithmetic-geometric mean: the
 complete elliptic integral K(r), the Grotzsch modulus mu(r), and the ring
-capacities gamma2 / tau2.  In higher dimensions those capacities have no
-closed form, so they are represented by Interval enclosures built from the
-classical growth-function sandwich, with the Grotzsch constant lambda_n
-known only to lie in [4, 2 e^(n-1)).
+capacities gamma2 / tau2.  Their inverses are theta series, not root finds:
+the nome of mu(r) is q = e^(-2 mu(r)), and r = theta2(q)^2 / theta3(q)^2
+(Anderson, Vamanamurthy and Vuorinen 1997, ch. 5; Borwein and Borwein 1987).
+In higher dimensions those capacities have no closed form, so they are
+represented by Interval enclosures built from the classical growth-function
+sandwich, whose envelopes invert in closed form, with the Grotzsch constant
+lambda_n known only to lie in [4, 2 e^(n-1)).  Non-finite arguments raise
+ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from ._roots import bisect_monotone, invert_decreasing_on_positive
 
 __all__ = [
     "Interval",
@@ -82,8 +84,8 @@ def check_dimension(n: int) -> int:
 
 def agm(a: float, b: float) -> float:
     """Arithmetic-geometric mean of two positive numbers."""
-    if a <= 0 or b <= 0:
-        raise ValueError("agm needs positive arguments")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("agm needs finite positive arguments")
     a = float(a)
     b = float(b)
     for _ in range(100):
@@ -105,11 +107,6 @@ def ell_K(r: float) -> float:
     return math.pi / (2.0 * agm(1.0, rp))
 
 
-def _mu_pair(r: float, rp: float) -> float:
-    # complementary pair supplied by the caller, dodging 1 - r^2 cancellation
-    return 0.5 * math.pi * agm(1.0, rp) / agm(1.0, r)
-
-
 def mu(r: float) -> float:
     """Modulus of the planar ring between the unit circle and [0, r].
 
@@ -119,36 +116,47 @@ def mu(r: float) -> float:
     if not 0 < r < 1:
         raise ValueError("mu needs 0 < r < 1")
     rp = math.sqrt((1.0 - r) * (1.0 + r))
-    return _mu_pair(r, rp)
+    return 0.5 * math.pi * agm(1.0, rp) / agm(1.0, r)
 
 
 _MU_SYMMETRIC = math.pi * math.pi / 4.0
 
 
-def mu_inv(y: float) -> float:
-    """Inverse of mu, by safeguarded bisection on the monotone mu.
+def _mu_inv_pair(y: float) -> tuple[float, float]:
+    """The modulus r with mu(r) = y and its complement r' = sqrt(1 - r^2).
 
-    Three regimes: y >= 19 uses the sharp asymptote mu(r) ~ log(4/r); y < 1
-    routes through the complementary identity mu(r) mu(r') = pi^2/4; the
-    middle band bisects mu(e^u) in u, giving uniform relative accuracy in r.
-    For y below about 0.3 the preimage is ulps away from 1 and the round
-    trip mu(mu_inv(y)) degrades to the representability limit; callers that
-    need the complementary modulus accurately should invert pi^2/(4 y)
-    instead and keep the small value.
+    With q = e^(-2y), r = theta2(q)^2 / theta3(q)^2
+      = 4 e^(-y) (sum_{k>=0} q^(k(k+1)) / (1 + 2 sum_{k>=1} q^(k^2)))^2,
+    written so that no q^(1/4) underflows.  Below y = pi/2 the series runs
+    at y' = pi^2/(4y) instead, by mu(r) mu(r') = pi^2/4, so q <= e^(-pi)
+    always and five terms leave a tail below q^25 < 1e-34.  The series
+    gives the smaller of r and r'; the larger is sqrt((1 - s)(1 + s)).
     """
-    if y <= 0:
-        raise ValueError("mu_inv needs y > 0")
-    if y >= 19.0:
-        return 4.0 * math.exp(-y)
-    if y < 1.0:
-        rp = mu_inv(_MU_SYMMETRIC / y)
-        r = math.sqrt((1.0 - rp) * (1.0 + rp))
-        # keep the open range even when the true preimage rounds to 1
-        return min(r, math.nextafter(1.0, 0.0))
-    u = bisect_monotone(
-        lambda v: mu(math.exp(v)), y, math.log(1e-9), math.log(0.97), xtol=1e-13
-    )
-    return math.exp(u)
+    swap = y < 0.5 * math.pi
+    if swap:
+        y = _MU_SYMMETRIC / y
+    q = math.exp(-2.0 * y)
+    # theta2(q) / (2 q^(1/4)) and theta3(q)
+    theta2_scaled = sum(q ** (k * (k + 1)) for k in range(5))
+    theta3 = 1.0 + 2.0 * sum(q ** (k * k) for k in range(1, 6))
+    ratio = theta2_scaled / theta3
+    s = 4.0 * math.exp(-y) * ratio * ratio
+    c = math.sqrt((1.0 - s) * (1.0 + s))
+    return (c, s) if swap else (s, c)
+
+
+def mu_inv(y: float) -> float:
+    """Inverse of mu, in closed form by the theta series of _mu_inv_pair.
+
+    For y below about 0.13 the true preimage rounds to 1; the result then
+    stays inside the open interval at the nearest double below 1.  Callers
+    that need the complementary modulus accurately should invert
+    pi^2/(4 y) instead and keep the small value.
+    """
+    if not 0 < y < math.inf:
+        raise ValueError("mu_inv needs finite y > 0")
+    r, _ = _mu_inv_pair(y)
+    return min(r, math.nextafter(1.0, 0.0))
 
 
 def phi_K(K: float, r: float) -> float:
@@ -199,29 +207,25 @@ def tau2(t: float) -> float:
 
 def gamma2_inv(y: float) -> float:
     """Inverse of gamma2 on (0, oo); s = 1 / mu_inv(2 pi / y)."""
-    if y <= 0:
-        raise ValueError("gamma2_inv needs y > 0")
+    if not 0 < y < math.inf:
+        raise ValueError("gamma2_inv needs finite y > 0")
     r = mu_inv(2.0 * math.pi / y)
     # mu_inv underflows to 0 when the true preimage exceeds float range
     return 1.0 / r if r > 0.0 else math.inf
 
 
 def tau2_inv(y: float) -> float:
-    """Inverse of tau2 on (0, oo).
+    """Inverse of tau2 on (0, oo): t = (r'/r)^2 with (r, r') = _mu_inv_pair(pi/y).
 
-    Split at y = pi to keep relative accuracy at both ends: small results
-    come out as rp^2/(1 - rp^2) with rp = mu_inv(pi y/4) (the complementary
-    modulus), large results as (1 - r^2)/r^2 with r = mu_inv(pi / y).
+    Both moduli come from the theta series, so the result keeps its
+    relative accuracy at either end of (0, oo).
     """
-    if y <= 0:
-        raise ValueError("tau2_inv needs y > 0")
-    if y > math.pi:
-        rp = mu_inv(0.25 * math.pi * y)
-        return rp * rp / ((1.0 - rp) * (1.0 + rp))
-    r = mu_inv(math.pi / y)
-    rr = r * r
-    # r (or r^2) underflows to 0 when the true result exceeds float range
-    return (1.0 - r) * (1.0 + r) / rr if rr > 0.0 else math.inf
+    if not 0 < y < math.inf:
+        raise ValueError("tau2_inv needs finite y > 0")
+    r, rp = _mu_inv_pair(math.pi / y)
+    # r underflows to 0 when the true result exceeds float range
+    ratio = rp / r if r > 0.0 else math.inf
+    return ratio * ratio
 
 
 def omega_sphere(n: int) -> float:
@@ -250,17 +254,17 @@ def tau_n_bounds(n: int, t: float) -> Interval:
 
         omega (log(lambda_hi^2 (t+1)))^(1-n) <= tau_n(t) <= omega (log(t+1))^(1-n)
 
-    with omega = omega_sphere(n).
+    with omega = omega_sphere(n); log(t+1) is taken as log1p(t).
     """
     n = check_dimension(n)
-    if t <= 0:
-        raise ValueError("tau_n_bounds needs t > 0")
+    if not 0 < t < math.inf:
+        raise ValueError("tau_n_bounds needs finite t > 0")
     if n == 2:
         return Interval.exact(tau2(t))
     om = omega_sphere(n)
-    lam_hi = lambda_n_interval(n).hi
-    lo = om * math.log(lam_hi * lam_hi * (t + 1.0)) ** (1 - n)
-    hi = om * math.log(t + 1.0) ** (1 - n)
+    log_t1 = math.log1p(t)
+    lo = om * (2.0 * math.log(lambda_n_interval(n).hi) + log_t1) ** (1 - n)
+    hi = om * log_t1 ** (1 - n)
     return Interval(lo, hi)
 
 
@@ -272,8 +276,8 @@ def gamma_n_bounds(n: int, s: float) -> Interval:
         omega (log(lambda_hi s))^(1-n) <= gamma_n(s) <= omega (log s)^(1-n).
     """
     n = check_dimension(n)
-    if s <= 1:
-        raise ValueError("gamma_n_bounds needs s > 1")
+    if not 1 < s < math.inf:
+        raise ValueError("gamma_n_bounds needs finite s > 1")
     if n == 2:
         return Interval.exact(gamma2(s))
     om = omega_sphere(n)
@@ -283,33 +287,30 @@ def gamma_n_bounds(n: int, s: float) -> Interval:
     return Interval(lo, hi)
 
 
+def _expm1(x: float) -> float:
+    try:
+        return math.expm1(x)
+    except OverflowError:  # past float range the answer is inf
+        return math.inf
+
+
 def tau_n_inv_bounds(n: int, y: float) -> Interval:
     """Enclosure of the inverse capacity: any t with tau_n(t) = y lies inside.
 
     n = 2 is exact via tau2_inv.  For n >= 3 the two envelope curves behind
-    tau_n_bounds are inverted by monotone bisection; when y is at least the
-    lower envelope's limit at t = 0 the left end clamps to 0.
+    tau_n_bounds invert in closed form: with L = (omega / y)^(1/(n-1)),
+    the right end is expm1(L) and the left end expm1(L - 2 log lambda_hi),
+    clamped to 0 when y is at least the lower envelope's limit at t = 0.
+    An end past float range is inf, as in tau2_inv.
     """
     n = check_dimension(n)
-    if y <= 0:
-        raise ValueError("tau_n_inv_bounds needs y > 0")
+    if not 0 < y < math.inf:
+        raise ValueError("tau_n_inv_bounds needs finite y > 0")
     if n == 2:
         return Interval.exact(tau2_inv(y))
-    om = omega_sphere(n)
-    lam_sq = lambda_n_interval(n).hi ** 2
-
-    def lower_env(t: float) -> float:
-        return om * math.log(lam_sq * (t + 1.0)) ** (1 - n)
-
-    def upper_env(t: float) -> float:
-        return om * math.log(t + 1.0) ** (1 - n)
-
-    if y >= lower_env(0.0):
-        lo = 0.0
-    else:
-        lo = invert_decreasing_on_positive(lower_env, y)
-    hi = invert_decreasing_on_positive(upper_env, y)
-    return Interval(lo, hi)
+    L = (omega_sphere(n) / y) ** (1.0 / (n - 1))
+    lo = max(0.0, _expm1(L - 2.0 * math.log(lambda_n_interval(n).hi)))
+    return Interval(lo, _expm1(L))
 
 
 def eta_K_n(n: int, K: float, t: float) -> Interval:
@@ -321,10 +322,10 @@ def eta_K_n(n: int, K: float, t: float) -> Interval:
     largest capacity value and the lower inverse end.
     """
     n = check_dimension(n)
-    if K <= 0:
-        raise ValueError("eta_K_n needs K > 0")
-    if t <= 0:
-        raise ValueError("eta_K_n needs t > 0")
+    if not 0 < K < math.inf:
+        raise ValueError("eta_K_n needs finite K > 0")
+    if not 0 < t < math.inf:
+        raise ValueError("eta_K_n needs finite t > 0")
     if n == 2:
         return Interval.exact(tau2_inv(tau2(t) / K))
     tb = tau_n_bounds(n, t)
@@ -341,8 +342,8 @@ def phi_Kn_lower(n: int, K: float, r: float) -> float:
     lambda_n bracket, the safe side for a lower bound.
     """
     n = check_dimension(n)
-    if K < 1:
-        raise ValueError("phi_Kn_lower needs K >= 1")
+    if not 1 <= K < math.inf:
+        raise ValueError("phi_Kn_lower needs finite K >= 1")
     if not 0 <= r <= 1:
         raise ValueError("phi_Kn_lower needs r in [0, 1]")
     beta = K ** (1.0 / (n - 1))

@@ -66,11 +66,13 @@ class VerifyEntry:
     note: str = ""
 
     def to_dict(self) -> dict:
+        # strict JSON has no NaN or infinity: a non-finite slack becomes null
+        slack = self.min_slack if math.isfinite(self.min_slack) else None
         return {
             "check_id": self.check_id,
             "provenance": self.provenance,
             "grid_spec": self.grid_spec,
-            "min_slack": self.min_slack,
+            "min_slack": slack,
             "argmin": self.argmin,
             "passed": self.passed,
             "tolerance": self.tolerance,

@@ -52,6 +52,15 @@ class TestSpecialFunctionCommand:
         assert code == 2
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv", [("mu-inv", "nan"), ("mu-inv", "inf"), ("tau-n-inv", "3", "nan")]
+    )
+    def test_non_finite_argument_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sf", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err.lower()
+
 
 class TestMetricCommand:
     def test_exact_quasihyperbolic_punctured_space(self, capsys):
@@ -306,6 +315,24 @@ class TestVerifyCommand:
         _, out1, _ = run_cli(capsys, "verify", "--filter", "power-chain|spot|quartic")
         _, out2, _ = run_cli(capsys, "verify", "--filter", "power-chain|spot|quartic")
         assert out1 == out2
+
+    def test_json_report_is_strict_json(self, tmp_path, capsys):
+        # uniform_c = inf makes the growth-constant check report a NaN slack
+        path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys,
+            "verify", "--filter", "^uniform-domain-growth-constant$",
+            "--uniform-c", "inf", "--json", str(path),
+        )
+        assert code == 1
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        obj = json.loads(path.read_text(), parse_constant=refuse)
+        (entry,) = obj["entries"]
+        assert entry["min_slack"] is None
+        assert entry["passed"] is False
 
 
 class TestSweepCommand:

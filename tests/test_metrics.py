@@ -23,7 +23,6 @@ from cgft.metrics import (
     j_metric,
     lambda_bounds,
     lambda_inverse_bounds,
-    lambda_punctured_plane_circle,
     mu_ball_center,
     mu_bounds,
     quasihyperbolic_exact,
@@ -31,7 +30,6 @@ from cgft.metrics import (
     r_ratio,
     seittenranta,
 )
-from cgft.metrics import _inner_length_numeric
 from cgft.special_functions import gamma2, mu, tau2
 
 RNG = np.random.default_rng(0)
@@ -459,10 +457,6 @@ class TestQuasihyperbolicNumeric:
         assert res.value >= exact - 5e-3
         assert res.value <= exact * 1.15
 
-    def test_inner_length_is_euclidean_when_convex(self, half_plane):
-        v = _inner_length_numeric(half_plane, (-1.0, 0.5), (1.0, 0.7), 1e-6)
-        assert v == pytest.approx(math.hypot(2.0, 0.2), abs=1e-6)
-
 
 class TestMuBallCenter:
     def test_symmetric_radius(self):
@@ -559,22 +553,6 @@ class TestLambdaBounds:
         inv = lambda_inverse_bounds(D, x, y)
         assert inv.lo == pytest.approx(1.0 / iv.hi, rel=1e-12)
         assert inv.hi == pytest.approx(1.0 / iv.lo, rel=1e-12)
-
-
-class TestLambdaPuncturedCircle:
-    def test_antipode(self):
-        assert lambda_punctured_plane_circle(math.pi) == pytest.approx(2.0, abs=1e-13)
-
-    def test_symmetry(self):
-        assert lambda_punctured_plane_circle(0.9) == pytest.approx(
-            lambda_punctured_plane_circle(2.0 * math.pi - 0.9), rel=1e-13
-        )
-
-    def test_minimum_at_pi(self):
-        grid = np.linspace(0.2, 2.0 * math.pi - 0.2, 101)
-        vals = [lambda_punctured_plane_circle(t) for t in grid]
-        assert min(vals) >= 2.0 - 1e-13
-        assert vals[50] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestCanonicalDomains:

@@ -349,6 +349,22 @@ class TestTauInvBounds:
             cap = tau_n_bounds(3, mid_t if mid_t > 0 else 1e-6)
             assert cap.lo <= y * 1.0001 or cap.hi >= y * 0.9999
 
+    def test_end_past_float_range_is_inf(self):
+        # L = 712 puts expm1(L) past float range but not L - 2 log lambda_hi
+        y = omega_sphere(3) / 712.0**2
+        iv = tau_n_inv_bounds(3, y)
+        assert iv.hi == math.inf
+        assert iv.lo == pytest.approx(math.expm1(712.0 - 2.0 * math.log(2.0 * math.e**2)))
+
+    @given(st.sampled_from([3, 4, 5]), st.floats(-6.0, 6.0))
+    def test_upper_envelope_round_trip(self, n, e):
+        # the upper envelope omega log1p(t)^(1-n) inverts exactly by expm1,
+        # so t comes back at rounding level even where log(t + 1) cancels
+        t = 10.0**e
+        hi = tau_n_bounds(n, t).hi
+        # relative error, stated directly: approx would add abs=1e-12
+        assert abs(tau_n_inv_bounds(n, hi).hi / t - 1.0) <= 1e-13
+
 
 class TestEtaKn:
     def test_identity_at_K1(self):
@@ -413,6 +429,12 @@ class TestTeichmullerPCircle:
             teichmuller_p_circle(2.0 * math.pi - t), rel=1e-13
         )
 
+    def test_minimum_at_pi(self):
+        grid = np.linspace(0.2, 2.0 * math.pi - 0.2, 101)
+        vals = [teichmuller_p_circle(t) for t in grid]
+        assert min(vals) >= 2.0 - 1e-13
+        assert vals[50] == pytest.approx(2.0, abs=1e-12)
+
     def test_quarter_turn_oracle(self):
         y = 2.0 / math.pi * mu(math.cos(math.pi / 8.0))
         assert teichmuller_p_circle(math.pi / 2.0) == pytest.approx(y + 1.0 / y, rel=1e-12)
@@ -422,3 +444,34 @@ class TestTeichmullerPCircle:
         for bad in (0.0, 2.0 * math.pi, -1.0, 7.0):
             with pytest.raises(ValueError):
                 teichmuller_p_circle(bad)
+
+
+NAN, INF = math.nan, math.inf
+
+NON_FINITE_CALLS = {
+    "agm-nan": (agm, (NAN, 1.0)),
+    "agm-inf": (agm, (1.0, INF)),
+    "mu_inv-nan": (mu_inv, (NAN,)),
+    "mu_inv-inf": (mu_inv, (INF,)),
+    "gamma2_inv-nan": (gamma2_inv, (NAN,)),
+    "gamma2_inv-inf": (gamma2_inv, (INF,)),
+    "tau2_inv-nan": (tau2_inv, (NAN,)),
+    "tau2_inv-inf": (tau2_inv, (INF,)),
+    "tau_n_inv_bounds-nan": (tau_n_inv_bounds, (3, NAN)),
+    "tau_n_inv_bounds-inf": (tau_n_inv_bounds, (2, INF)),
+    "tau_n_bounds-nan": (tau_n_bounds, (3, NAN)),
+    "tau_n_bounds-inf": (tau_n_bounds, (3, INF)),
+    "gamma_n_bounds-inf": (gamma_n_bounds, (3, INF)),
+    "eta_K_n-K-nan": (eta_K_n, (3, NAN, 1.0)),
+    "eta_K_n-t-inf": (eta_K_n, (3, 2.0, INF)),
+    "phi_Kn_lower-nan": (phi_Kn_lower, (3, NAN, 0.5)),
+    "phi_Kn_lower-inf": (phi_Kn_lower, (3, INF, 0.5)),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("name", list(NON_FINITE_CALLS))
+    def test_refused(self, name):
+        func, args = NON_FINITE_CALLS[name]
+        with pytest.raises(ValueError):
+            func(*args)
