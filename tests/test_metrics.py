@@ -30,7 +30,7 @@ from cgft.metrics import (
     r_ratio,
     seittenranta,
 )
-from cgft.special_functions import gamma2, mu, tau2
+from cgft.special_functions import gamma2, mu, tau2, teichmuller_p_circle
 
 RNG = np.random.default_rng(0)
 
@@ -553,6 +553,17 @@ class TestLambdaBounds:
         inv = lambda_inverse_bounds(D, x, y)
         assert inv.lo == pytest.approx(1.0 / iv.hi, rel=1e-12)
         assert inv.hi == pytest.approx(1.0 / iv.lo, rel=1e-12)
+
+
+class TestLambdaPuncturedCircle:
+    # the punctured plane's extremal-distance functional on the unit circle
+    def test_antipode(self):
+        assert teichmuller_p_circle(math.pi) == pytest.approx(2.0, abs=1e-13)
+
+    def test_symmetry(self):
+        assert teichmuller_p_circle(0.9) == pytest.approx(
+            teichmuller_p_circle(2.0 * math.pi - 0.9), rel=1e-13
+        )
 
 
 class TestCanonicalDomains:
