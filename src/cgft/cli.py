@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from typing import Callable, Sequence
 
@@ -24,7 +23,7 @@ from . import metrics as mt
 from . import special_functions as sf
 from . import transfer_chart as tc
 from .special_functions import Interval
-from .verify import VerifyConfig, run_verify
+from .verify import VerifyConfig, distortion_inequality_report, run_verify
 
 __all__ = ["main"]
 
@@ -238,7 +237,7 @@ def _cmd_distort(args, parser) -> int:
         print(f"validity: {b.validity}")
         print(f"bound: {b.provenance}")
     elif op == "report":
-        report = ds.distortion_inequality_report(args.K, args.n)
+        report = distortion_inequality_report(args.K, args.n)
         for entry in report["entries"]:
             slack = entry["min_slack"]
             shown = "inapplicable" if slack is None else _fmt(slack)
@@ -326,12 +325,14 @@ def _cmd_verify(args, parser) -> int:
     )
     report = run_verify(args.filter, config)
     for e in report.entries:
-        if e.note:
+        if e.skipped:
             print(f"SKIP {e.check_id} ({e.note})")
         else:
             flag = "PASS" if e.passed else "FAIL"
+            note = f" ({e.note})" if e.note else ""
             print(
-                f"{flag} {e.check_id} min_slack={e.min_slack:.6e} argmin={e.argmin}"
+                f"{flag} {e.check_id} min_slack={e.min_slack:.6e} "
+                f"argmin={e.argmin}{note}"
             )
     s = report.summary()
     print(

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "annular_image_bounds",
     "cylinder_bound",
     "distortion_bound",
-    "distortion_inequality_report",
     "eps_to_K",
     "eta_star_one_bound",
     "id_boundary_euclid_bound",
@@ -153,6 +153,11 @@ def id_boundary_rho_bound(n: int, K: float) -> Interval:
         return Interval.exact(0.0)
     if n == 2:
         a = _boundary_identity_a(n, K).lo
+        if a < sys.float_info.min:
+            # a = mu_inv(K pi/2)^2 leaves the normal range from K ~ 225, where
+            # mu_inv(y) is 4 e^(-y) to double precision, so
+            # log((1 - a)/a) = K pi - log 16
+            return Interval.exact(math.pi * K - 4.0 * _LOG2)
         return Interval.exact(math.log((1.0 - a) / a))
     eta = eta_K_n(n, K, 1.0)
     a_lo = _boundary_identity_a(n, K).lo
@@ -289,9 +294,10 @@ def eta_star_one_bound(K: float) -> float:
 
 
 def _growth_constants(n: int, K: float) -> tuple[float, float, float]:
-    """alpha, beta = 1/alpha and the envelope constant exp(60 sqrt(K-1))."""
+    """alpha = K^(1/(1-n)), beta = 1/alpha and log c3 = 60 sqrt(K-1); the
+    envelope constant c3 itself overflows from K ~ 141."""
     alpha = K ** (1.0 / (1.0 - n))
-    return alpha, 1.0 / alpha, math.exp(60.0 * math.sqrt(K - 1.0))
+    return alpha, 1.0 / alpha, 60.0 * math.sqrt(K - 1.0)
 
 
 def two_point_growth_bounds(n: int, K: float, absx: float) -> Interval:
@@ -307,7 +313,8 @@ def two_point_growth_bounds(n: int, K: float, absx: float) -> Interval:
         raise ValidityWindowError("two_point_growth_bounds needs K in (1, 2]")
     if not absx > 0.0:
         raise ValueError("two_point_growth_bounds needs absx > 0")
-    alpha, beta, c3 = _growth_constants(n, K)
+    alpha, beta, log_c3 = _growth_constants(n, K)
+    c3 = math.exp(log_c3)
     if absx <= 1.0:
         return Interval(absx**beta / c3, c3 * absx**alpha)
     return Interval(absx**alpha / c3, c3 * absx**beta)
@@ -336,8 +343,8 @@ def j_distortion_bound(n: int, K: float, j_xy: float) -> float:
         raise ValidityWindowError("j_distortion_bound needs K in (1, 2]")
     if not j_xy >= 0.0:
         raise ValueError("j_distortion_bound needs j_xy >= 0")
-    alpha, _, c3 = _growth_constants(n, K)
-    return c3 / alpha * max(j_xy**alpha, j_xy)
+    alpha, _, log_c3 = _growth_constants(n, K)
+    return math.exp(log_c3) / alpha * max(j_xy**alpha, j_xy)
 
 
 # ---------------------------------------------------------------------------
@@ -632,187 +639,6 @@ def tangent_domination_endpoint(m: float, n: float) -> float:
             return nxt
         a = nxt
     raise ArithmeticError("tangent domination endpoint iteration did not settle")
-
-
-# ---------------------------------------------------------------------------
-# Inequality report used by the verify suite
-# ---------------------------------------------------------------------------
-
-
-def _grid_entry(
-    check_id: str,
-    description: str,
-    window: str,
-    ts: np.ndarray,
-    slacks: np.ndarray,
-) -> dict:
-    k = int(np.argmin(slacks))
-    return {
-        "check_id": check_id,
-        "description": description,
-        "window": window,
-        "applicable": True,
-        "min_slack": float(slacks[k]),
-        "argmin": float(ts[k]),
-        "grid_points": int(len(ts)),
-    }
-
-
-def _point_entry(
-    check_id: str, description: str, window: str, slack: float, at: float
-) -> dict:
-    return {
-        "check_id": check_id,
-        "description": description,
-        "window": window,
-        "applicable": True,
-        "min_slack": float(slack),
-        "argmin": float(at),
-        "grid_points": 1,
-    }
-
-
-def _skipped_entry(check_id: str, description: str, window: str) -> dict:
-    return {
-        "check_id": check_id,
-        "description": description,
-        "window": window,
-        "applicable": False,
-        "min_slack": None,
-        "argmin": None,
-        "grid_points": 0,
-    }
-
-
-def distortion_inequality_report(
-    K: float, n: int = 2, *, grid_points: int = 2001
-) -> dict:
-    """Slack report for the scalar inequalities behind the linear rates,
-    the power envelope and the distance-ratio transfer, at a given K.
-
-    Each entry carries the minimal slack (right side minus left side) over
-    its grid and the grid point attaining it (first index on ties);
-    entries whose K window excludes the given K are marked inapplicable.
-    """
-    n = check_dimension(n)
-    if K < 1.0:
-        raise ValueError("distortion_inequality_report needs K >= 1")
-    entries: list[dict] = []
-
-    a = _boundary_identity_a(2, K).lo
-    log_ratio = math.log((1.0 - a) / a)
-    entries.append(
-        _point_entry(
-            "planar-linear-rate",
-            "planar identity-boundary rho bound below the sharp linear rate",
-            "K >= 1, n = 2",
-            PLANAR_LINEAR_RATE * (K - 1.0) - log_ratio,
-            K,
-        )
-    )
-    if K > 1.0:
-        entries.append(
-            _point_entry(
-                "planar-exponential-lower",
-                "exp(pi (K-1)) stays below the planar quasisymmetry value at 1",
-                "K > 1, n = 2",
-                log_ratio - math.pi * (K - 1.0),
-                K,
-            )
-        )
-    else:
-        entries.append(
-            _skipped_entry(
-                "planar-exponential-lower",
-                "exp(pi (K-1)) stays below the planar quasisymmetry value at 1",
-                "K > 1, n = 2",
-            )
-        )
-
-    if K <= 17.0:
-        entries.append(
-            _point_entry(
-                "dimension-free-linear-rate",
-                "log-power chain value below (4 + 6 log 2)(K - 1)",
-                "1 <= K <= 17, any n",
-                tangent_domination_rhs(3.0, 2.0, K)
-                - tangent_domination_lhs(3.0, 2.0, K),
-                K,
-            )
-        )
-    else:
-        entries.append(
-            _skipped_entry(
-                "dimension-free-linear-rate",
-                "log-power chain value below (4 + 6 log 2)(K - 1)",
-                "1 <= K <= 17, any n",
-            )
-        )
-
-    if 1.0 < K <= 2.0:
-        alpha, beta, c3 = _growth_constants(n, K)
-        ts_low = np.linspace(1e-6, 1.0, grid_points)
-        slack_low = c3 * ts_low**alpha - 2.0 * ts_low + ts_low**beta / c3
-        ts_high = np.linspace(1.0, 10.0, grid_points)
-        slack_high = c3 * ts_high**beta - 2.0 * ts_high + ts_high**alpha / c3
-        entry = _grid_entry(
-            "power-envelope-crossing",
-            "upper envelope overshoot dominates lower envelope undershoot",
-            "K in (1, 2]",
-            np.concatenate([ts_low, ts_high]),
-            np.concatenate([slack_low, slack_high]),
-        )
-        entry["t1_margin"] = c3 + 1.0 / c3 - 2.0
-        entries.append(entry)
-    else:
-        entries.append(
-            _skipped_entry(
-                "power-envelope-crossing",
-                "upper envelope overshoot dominates lower envelope undershoot",
-                "K in (1, 2]",
-            )
-        )
-
-    if K > 1.0:
-        alpha, beta, c3 = _growth_constants(n, K)
-        ts_low = np.linspace(1e-6, 1.0, grid_points)
-        lhs = np.log1p(c3 * ts_low**alpha)
-        rhs = c3 / alpha * np.log1p(ts_low) ** alpha
-        ts_high = np.linspace(1.0, 50.0, grid_points)
-        lhs_h = np.log1p(c3 * ts_high**beta)
-        rhs_h = c3 / alpha * np.log1p(ts_high)
-        entries.append(
-            _grid_entry(
-                "log-power-transfer",
-                "log of the quasisymmetry growth below the log-power transfer",
-                "K > 1 (c3 > 1)",
-                np.concatenate([ts_low, ts_high]),
-                np.concatenate([rhs - lhs, rhs_h - lhs_h]),
-            )
-        )
-        entries.append(
-            _point_entry(
-                "transfer-branch-agreement",
-                "the branches of max(j^alpha, j) coincide at j = 1",
-                "K > 1",
-                0.0 if 1.0**alpha == 1.0 else -abs(1.0**alpha - 1.0),
-                1.0,
-            )
-        )
-    else:
-        for check_id, description in (
-            (
-                "log-power-transfer",
-                "log of the quasisymmetry growth below the log-power transfer",
-            ),
-            (
-                "transfer-branch-agreement",
-                "the branches of max(j^alpha, j) coincide at j = 1",
-            ),
-        ):
-            entries.append(_skipped_entry(check_id, description, "K > 1"))
-
-    return {"K": float(K), "n": n, "entries": entries}
 
 
 # ---------------------------------------------------------------------------

@@ -254,18 +254,17 @@ def tau_n_bounds(n: int, t: float) -> Interval:
 
         omega (log(lambda_hi^2 (t+1)))^(1-n) <= tau_n(t) <= omega (log(t+1))^(1-n)
 
-    with omega = omega_sphere(n); log(t+1) is taken as log1p(t).
+    with omega = omega_sphere(n); log(t+1) is taken as log1p(t).  The right
+    end is inf where it passes float range (t below about 1e-154 for n = 3).
     """
     n = check_dimension(n)
     if not 0 < t < math.inf:
         raise ValueError("tau_n_bounds needs finite t > 0")
     if n == 2:
         return Interval.exact(tau2(t))
-    om = omega_sphere(n)
     log_t1 = math.log1p(t)
-    lo = om * (2.0 * math.log(lambda_n_interval(n).hi) + log_t1) ** (1 - n)
-    hi = om * log_t1 ** (1 - n)
-    return Interval(lo, hi)
+    lo = _envelope(n, 2.0 * math.log(lambda_n_interval(n).hi) + log_t1)
+    return Interval(lo, _envelope(n, log_t1))
 
 
 def gamma_n_bounds(n: int, s: float) -> Interval:
@@ -273,18 +272,25 @@ def gamma_n_bounds(n: int, s: float) -> Interval:
 
     Exact for n = 2; for n >= 3,
 
-        omega (log(lambda_hi s))^(1-n) <= gamma_n(s) <= omega (log s)^(1-n).
+        omega (log(lambda_hi s))^(1-n) <= gamma_n(s) <= omega (log s)^(1-n),
+
+    with a right end of inf where it passes float range (s next to 1).
     """
     n = check_dimension(n)
     if not 1 < s < math.inf:
         raise ValueError("gamma_n_bounds needs finite s > 1")
     if n == 2:
         return Interval.exact(gamma2(s))
-    om = omega_sphere(n)
-    lam_hi = lambda_n_interval(n).hi
-    lo = om * math.log(lam_hi * s) ** (1 - n)
-    hi = om * math.log(s) ** (1 - n)
-    return Interval(lo, hi)
+    lo = _envelope(n, math.log(lambda_n_interval(n).hi * s))
+    return Interval(lo, _envelope(n, math.log(s)))
+
+
+def _envelope(n: int, log_value: float) -> float:
+    """omega_sphere(n) log_value^(1-n); past float range the answer is inf."""
+    try:
+        return omega_sphere(n) * log_value ** (1 - n)
+    except OverflowError:
+        return math.inf
 
 
 def _expm1(x: float) -> float:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .special_functions import (
+    _expm1,
     check_dimension,
     gamma2,
     gamma_n_bounds,
@@ -343,7 +344,7 @@ def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
         return 324.0 * math.pi * t * t
 
     def qed_capacity(t: float, props: DomainProps) -> float:
-        s = math.expm1(2.0 * t)
+        s = _expm1(2.0 * t)
         if not math.isfinite(s):
             return math.inf
         v = props.qed_constant * tau_lo(s)

@@ -18,9 +18,10 @@ The registry is append-only and evaluated in registration order;
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "VerifyConfig",
     "VerifyEntry",
     "VerifyReport",
+    "distortion_inequality_report",
     "registered_check_ids",
     "run_verify",
 ]
@@ -65,19 +67,16 @@ class VerifyEntry:
     tolerance: float = 0.0
     note: str = ""
 
+    @property
+    def skipped(self) -> bool:
+        return self.note == SKIP_NOTE
+
     def to_dict(self) -> dict:
+        d = asdict(self)
         # strict JSON has no NaN or infinity: a non-finite slack becomes null
-        slack = self.min_slack if math.isfinite(self.min_slack) else None
-        return {
-            "check_id": self.check_id,
-            "provenance": self.provenance,
-            "grid_spec": self.grid_spec,
-            "min_slack": slack,
-            "argmin": self.argmin,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "note": self.note,
-        }
+        if not math.isfinite(self.min_slack):
+            d["min_slack"] = None
+        return d
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class VerifyReport:
     entries: tuple[VerifyEntry, ...]
 
     def summary(self) -> dict:
-        skipped = sum(1 for e in self.entries if e.note == SKIP_NOTE)
+        skipped = sum(1 for e in self.entries if e.skipped)
         failed = sum(1 for e in self.entries if not e.passed)
         return {
             "total": len(self.entries),
@@ -118,7 +117,7 @@ class _Tracker:
         self.argmin = "empty grid"
         self.empty = True
 
-    def add(self, slack: float, where: str) -> None:
+    def add(self, slack: float, where: object) -> None:
         slack = float(slack)
         # "not >=" also holds for a NaN slack
         below = not math.isnan(self.min_slack) and not slack >= self.min_slack
@@ -162,6 +161,14 @@ def _register(
 
 def _g(x: float) -> str:
     return f"{float(x):.6g}"
+
+
+def _rising(t: _Tracker, vals, labels, relative: bool = False) -> None:
+    """A sequence that must not fall: add each step b - a (divided by
+    max(|a|, 1e-300) if relative).  Negate a sequence that must not rise."""
+    for a, b, where in zip(vals, vals[1:], labels):
+        step = b - a
+        t.add(step / max(abs(a), 1e-300) if relative else step, where)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +249,16 @@ def _chk_spot_values(cfg, t):
 )
 def _chk_monotone(cfg, t):
     rs = np.linspace(0.01, 0.99, 99)
-    mus = [sf.mu(float(r)) for r in rs]
-    for a, b, r in zip(mus, mus[1:], rs):
-        t.add(a - b, f"mu decreasing at r={_g(float(r))}")
+    mus = [-sf.mu(float(r)) for r in rs]
+    _rising(t, mus, (f"mu decreasing at r={_g(r)}" for r in rs))
     ss = 1.0 + np.geomspace(1e-2, 30.0, 80)
-    gs = [sf.gamma2(float(s)) for s in ss]
-    for a, b, s in zip(gs, gs[1:], ss):
-        t.add(a - b, f"gamma2 decreasing at s={_g(float(s))}")
+    gs = [-sf.gamma2(float(s)) for s in ss]
+    _rising(t, gs, (f"gamma2 decreasing at s={_g(s)}" for s in ss))
     ts = np.geomspace(1e-2, 30.0, 80)
-    taus = [sf.tau2(float(x)) for x in ts]
-    for a, b, x in zip(taus, taus[1:], ts):
-        t.add(a - b, f"tau2 decreasing at t={_g(float(x))}")
+    taus = [-sf.tau2(float(x)) for x in ts]
+    _rising(t, taus, (f"tau2 decreasing at t={_g(x)}" for x in ts))
     phis = [sf.phi_K(2.0, float(r)) for r in rs]
-    for a, b, r in zip(phis, phis[1:], rs):
-        t.add(b - a, f"phi_2 increasing at r={_g(float(r))}")
+    _rising(t, phis, (f"phi_2 increasing at r={_g(r)}" for r in rs))
 
 
 @_register(
@@ -323,6 +326,20 @@ def _punctured_points(rng, count):
     return pts
 
 
+def _sampled_metrics() -> dict:
+    """name -> (distance, point sampler) for the sampled metric axioms."""
+    punctured = mt.canonical_domain("punctured_space", 2)
+    return {
+        "chordal": (lambda a, b: mt.chordal(a, b), _punctured_points),
+        "j": (lambda a, b: mt.j_metric(punctured, a, b), _punctured_points),
+        "hyperbolic": (mt.hyperbolic_ball, _ball_points),
+        "quasihyperbolic": (
+            lambda a, b: mt.quasihyperbolic_exact("punctured_space", a, b),
+            _punctured_points,
+        ),
+    }
+
+
 @_register(
     "metric-axioms-sampled",
     "metric-axioms",
@@ -331,21 +348,9 @@ def _punctured_points(rng, count):
 )
 def _chk_axioms(cfg, t):
     rng = np.random.default_rng(cfg.seed + 101)
-    punctured = mt.canonical_domain("punctured_space", 2)
-    for name in ("chordal", "j", "hyperbolic", "quasihyperbolic"):
+    for name, (d, sampler) in _sampled_metrics().items():
         for i in range(20):
-            if name == "chordal":
-                x, y = _punctured_points(rng, 2)
-                d = lambda a, b: mt.chordal(a, b)
-            elif name == "j":
-                x, y = _punctured_points(rng, 2)
-                d = lambda a, b: mt.j_metric(punctured, a, b)
-            elif name == "hyperbolic":
-                x, y = _ball_points(rng, 2)
-                d = mt.hyperbolic_ball
-            else:
-                x, y = _punctured_points(rng, 2)
-                d = lambda a, b: mt.quasihyperbolic_exact("punctured_space", a, b)
+            x, y = sampler(rng, 2)
             dxy = d(x, y)
             t.add(dxy, f"{name} nonneg #{i}")
             t.add(-abs(d(x, x)), f"{name} identity #{i}")
@@ -361,17 +366,7 @@ def _chk_axioms(cfg, t):
 )
 def _chk_triangle(cfg, t):
     rng = np.random.default_rng(cfg.seed + 102)
-    punctured = mt.canonical_domain("punctured_space", 2)
-    metrics = {
-        "chordal": (lambda a, b: mt.chordal(a, b), _punctured_points),
-        "j": (lambda a, b: mt.j_metric(punctured, a, b), _punctured_points),
-        "hyperbolic": (mt.hyperbolic_ball, _ball_points),
-        "quasihyperbolic": (
-            lambda a, b: mt.quasihyperbolic_exact("punctured_space", a, b),
-            _punctured_points,
-        ),
-    }
-    for name, (d, sampler) in metrics.items():
+    for name, (d, sampler) in _sampled_metrics().items():
         for i in range(20):
             x, y, z = sampler(rng, 3)
             t.add(d(x, y) + d(y, z) - d(x, z), f"{name} #{i}")
@@ -500,15 +495,20 @@ def _chk_tanh(cfg, t):
 # Transfer chart
 # ---------------------------------------------------------------------------
 
-_FULL_PROPS = tc.DomainProps(
-    uniform_constant=2.0,
-    qed_constant=0.5,
-    boundary_connected=True,
-    boundary_nondegenerate=True,
-    boundary_card_ge_2=True,
-    convex=True,
-    bounded_with_diam=2.0,
-    locality="local",
+
+def _local_props(**facts) -> tc.DomainProps:
+    """Local pairs in a domain with a connected, nondegenerate boundary."""
+    return tc.DomainProps(
+        boundary_connected=True,
+        boundary_nondegenerate=True,
+        boundary_card_ge_2=True,
+        locality="local",
+        **facts,
+    )
+
+
+_FULL_PROPS = _local_props(
+    uniform_constant=2.0, qed_constant=0.5, convex=True, bounded_with_diam=2.0
 )
 
 _FAST_TARGETS = {tc.MetricId.J, tc.MetricId.K, tc.MetricId.DELTA, tc.MetricId.EUCLID}
@@ -524,6 +524,23 @@ def _edge_window_hi(edge) -> float:
         "composed-ring-capacity-route": 0.2,
     }
     return windows.get(edge.provenance, 10.0)
+
+
+def _edge_grid(t: _Tracker, e, props: tc.DomainProps) -> None:
+    """Relative steps of an edge on a 40-point log grid over its window."""
+    grid = np.geomspace(1e-6, _edge_window_hi(e), 40)
+    vals = [tc.eval_edge(e, props, float(x)) for x in grid]
+    _rising(t, vals, (f"{e.provenance} t={_g(x)}" for x in grid), relative=True)
+
+
+def _gated_edges(t: _Tracker, chart, name: str, props: tc.DomainProps) -> list:
+    """The edges gated on the ``name`` constant that ``props`` opens; a
+    chart in which none opens fails the check."""
+    gate = f"{name}_constant"
+    edges = [e for e in chart.edges if gate in e.requires and not e.missing(props)]
+    if not edges:
+        t.add(-1.0, f"no {name}-gated edge opened")
+    return edges
 
 
 @_register(
@@ -600,12 +617,8 @@ def _chk_chart_gating(cfg, t):
 def _chk_chart_monotone(cfg, t):
     chart = tc.builtin_chart(2)
     for e in chart.edges:
-        if e.missing(_FULL_PROPS):
-            continue
-        grid = np.geomspace(1e-6, _edge_window_hi(e), 40)
-        vals = [tc.eval_edge(e, _FULL_PROPS, float(x)) for x in grid]
-        for a, b, x in zip(vals, vals[1:], grid):
-            t.add((b - a) / max(abs(a), 1e-300), f"{e.provenance} t={_g(float(x))}")
+        if not e.missing(_FULL_PROPS):
+            _edge_grid(t, e, _FULL_PROPS)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +661,7 @@ def _chk_mu_ball(cfg, t):
         aux = bg.mu_ball_constants(2, x).aux_constants
         d2s.append(aux["d2"])
         t.add(aux["d3"] - aux["d2"], f"d2<d3 at t={_g(x)}")
-    for a, b, x in zip(d2s, d2s[1:], ts):
-        t.add(b - a, f"d2 increasing at t={_g(x)}")
+    _rising(t, d2s, (f"d2 increasing at t={_g(x)}" for x in ts))
 
 
 @_register(
@@ -683,8 +695,7 @@ def _chk_circumscribed(cfg, t):
 def _chk_antipodal_limit(cfg, t):
     Ts = (0.494, 0.496, 0.498, 0.499, 0.4995, 0.4999)
     Rs = [bg.circumscribed_lambda_radius(T) for T in Ts]
-    for b, a, T in zip(Rs[1:], Rs, Ts[1:]):
-        t.add(b - a, f"monotone toward 2 at T={_g(T)}")
+    _rising(t, Rs, (f"monotone toward 2 at T={_g(T)}" for T in Ts[1:]))
     for T, R in zip(Ts, Rs):
         t.add(2.0 - R, f"below the limit at T={_g(T)}")
     # the deviation 2 - R_T decays linearly in 1/T - 2 with rate ~4.79,
@@ -773,11 +784,10 @@ def _chk_rate_digits(cfg, t):
     1e-12,
 )
 def _chk_mn_inequality(cfg, t):
-    rate = ds.GENERAL_LINEAR_RATE
     for K in np.arange(1.0, 17.005, 0.01):
         K = float(K)
-        lhs = math.log(2.0 ** (3.0 * K - 2.0) * K ** (2.0 * K) - 1.0)
-        t.add(rate * (K - 1.0) - lhs, f"K={_g(K)}")
+        slack = ds.tangent_domination_rhs(3, 2, K) - ds.tangent_domination_lhs(3, 2, K)
+        t.add(slack, f"K={_g(K)}")
 
 
 @_register(
@@ -1095,18 +1105,8 @@ def _chk_lipschitz_extension(cfg, t):
     needs=("cn",),
 )
 def _chk_cn_edges(cfg, t):
-    chart = tc.builtin_chart(2, cn=cfg.cn)
-    found = False
-    for e in chart.edges:
-        if "cn_constant" not in e.requires or e.missing(_FULL_PROPS):
-            continue
-        found = True
-        grid = np.geomspace(1e-6, _edge_window_hi(e), 40)
-        vals = [tc.eval_edge(e, _FULL_PROPS, float(x)) for x in grid]
-        for a, b, x in zip(vals, vals[1:], grid):
-            t.add((b - a) / max(abs(a), 1e-300), f"{e.provenance} t={_g(float(x))}")
-    if not found:
-        t.add(-1.0, "no cn-gated edge opened")
+    for e in _gated_edges(t, tc.builtin_chart(2, cn=cfg.cn), "cn", _FULL_PROPS):
+        _edge_grid(t, e, _FULL_PROPS)
 
 
 @_register(
@@ -1117,26 +1117,11 @@ def _chk_cn_edges(cfg, t):
     needs=("uniform_c",),
 )
 def _chk_uniform_edges(cfg, t):
-    chart = tc.builtin_chart(2)
-    props = tc.DomainProps(
-        uniform_constant=cfg.uniform_c,
-        boundary_connected=True,
-        boundary_nondegenerate=True,
-        boundary_card_ge_2=True,
-        locality="local",
-    )
-    found = False
-    for e in chart.edges:
-        if "uniform_constant" not in e.requires or e.missing(props):
-            continue
-        found = True
-        t.add(1e-3 - tc.eval_edge(e, props, 1e-6 / max(cfg.uniform_c, 1.0)), f"{e.provenance} zero limit")
-        grid = np.geomspace(1e-6, _edge_window_hi(e), 40)
-        vals = [tc.eval_edge(e, props, float(x)) for x in grid]
-        for a, b, x in zip(vals, vals[1:], grid):
-            t.add((b - a) / max(abs(a), 1e-300), f"{e.provenance} t={_g(float(x))}")
-    if not found:
-        t.add(-1.0, "no uniform-gated edge opened")
+    props = _local_props(uniform_constant=cfg.uniform_c)
+    for e in _gated_edges(t, tc.builtin_chart(2), "uniform", props):
+        v = tc.eval_edge(e, props, 1e-6 / max(cfg.uniform_c, 1.0))
+        t.add(1e-3 - v, f"{e.provenance} zero limit")
+        _edge_grid(t, e, props)
 
 
 @_register(
@@ -1147,28 +1132,12 @@ def _chk_uniform_edges(cfg, t):
     needs=("qed_c",),
 )
 def _chk_qed_edges(cfg, t):
-    chart = tc.builtin_chart(2)
-    props = tc.DomainProps(
-        qed_constant=cfg.qed_c,
-        boundary_connected=True,
-        boundary_nondegenerate=True,
-        boundary_card_ge_2=True,
-        locality="local",
-    )
-    found = False
-    for e in chart.edges:
-        if "qed_constant" not in e.requires or e.missing(props):
-            continue
-        found = True
+    props = _local_props(qed_constant=cfg.qed_c)
+    for e in _gated_edges(t, tc.builtin_chart(2), "qed", props):
         v6 = tc.eval_edge(e, props, 1e-6)
         v60 = tc.eval_edge(e, props, 1e-60)
         t.add(v6 - v60, f"{e.provenance} decay ordering")
-        grid = np.geomspace(1e-6, _edge_window_hi(e), 40)
-        vals = [tc.eval_edge(e, props, float(x)) for x in grid]
-        for a, b, x in zip(vals, vals[1:], grid):
-            t.add((b - a) / max(abs(a), 1e-300), f"{e.provenance} t={_g(float(x))}")
-    if not found:
-        t.add(-1.0, "no qed-gated edge opened")
+        _edge_grid(t, e, props)
 
 
 DOCUMENTED_TOTAL = 49
@@ -1183,6 +1152,23 @@ def registered_check_ids() -> tuple[str, ...]:
     return tuple(c.check_id for c in _REGISTRY)
 
 
+def _run_check(check: _Check, cfg: VerifyConfig) -> VerifyEntry:
+    tol = check.tolerance
+    entry = functools.partial(
+        VerifyEntry, check.check_id, check.provenance, check.grid_spec, tolerance=tol
+    )
+    if any(getattr(cfg, need) is None for need in check.needs):
+        return entry(min_slack=0.0, argmin="-", passed=True, note=SKIP_NOTE)
+    t = _Tracker()
+    try:
+        check.fn(cfg, t)
+    except Exception as exc:  # a check that raises fails; the others still run
+        note = f"raised {type(exc).__name__}: {exc}"
+        return entry(min_slack=math.nan, argmin="-", passed=False, note=note)
+    # False for NaN: a NaN slack or an empty grid fails
+    return entry(min_slack=t.min_slack, argmin=t.argmin, passed=t.min_slack >= -tol)
+
+
 def run_verify(
     filter_regex: str | None = None, config: VerifyConfig | None = None
 ) -> VerifyReport:
@@ -1191,39 +1177,135 @@ def run_verify(
     Entry order follows registration order.  Checks whose required
     constants are absent from ``config`` are reported as skipped with
     ``passed=True`` so they never fail a run they cannot participate in.
+    A check that raises is reported as failed, with the exception in its
+    ``note``, and the run goes on.
     """
     cfg = config or VerifyConfig()
     pattern = re.compile(filter_regex) if filter_regex else None
-    entries: list[VerifyEntry] = []
-    for check in _REGISTRY:
-        if pattern is not None and not pattern.search(check.check_id):
-            continue
-        if any(getattr(cfg, need) is None for need in check.needs):
-            entries.append(
-                VerifyEntry(
-                    check_id=check.check_id,
-                    provenance=check.provenance,
-                    grid_spec=check.grid_spec,
-                    min_slack=0.0,
-                    argmin="-",
-                    passed=True,
-                    tolerance=check.tolerance,
-                    note=SKIP_NOTE,
-                )
-            )
-            continue
-        tracker = _Tracker()
-        check.fn(cfg, tracker)
-        entries.append(
-            VerifyEntry(
-                check_id=check.check_id,
-                provenance=check.provenance,
-                grid_spec=check.grid_spec,
-                min_slack=tracker.min_slack,
-                argmin=tracker.argmin,
-                # False for NaN: a NaN slack or an empty grid fails
-                passed=tracker.min_slack >= -check.tolerance,
-                tolerance=check.tolerance,
-            )
-        )
-    return VerifyReport(tuple(entries))
+    checks = [c for c in _REGISTRY if pattern is None or pattern.search(c.check_id)]
+    return VerifyReport(tuple(_run_check(c, cfg) for c in checks))
+
+
+# ---------------------------------------------------------------------------
+# Distortion inequality report
+# ---------------------------------------------------------------------------
+
+
+def _at_K(slack):
+    """A row evaluated at the single point K."""
+    return lambda K, n, grid_points: ([K], [slack(K, n)])
+
+
+def _power_envelope_crossing(K, n, grid_points):
+    alpha, beta, log_c3 = ds._growth_constants(n, K)
+    c3 = math.exp(log_c3)
+    ts_low = np.linspace(1e-6, 1.0, grid_points)
+    ts_high = np.linspace(1.0, 10.0, grid_points)
+    slack_low = c3 * ts_low**alpha - 2.0 * ts_low + ts_low**beta / c3
+    slack_high = c3 * ts_high**beta - 2.0 * ts_high + ts_high**alpha / c3
+    return np.concatenate([ts_low, ts_high]), np.concatenate([slack_low, slack_high])
+
+
+def _log_power_transfer(K, n, grid_points):
+    # log(1 + c3 t^p) in log space, since c3 overflows from K ~ 141; a right
+    # side past float range is inf, and so is its slack
+    alpha, beta, log_c3 = ds._growth_constants(n, K)
+    ts_low = np.linspace(1e-6, 1.0, grid_points)
+    ts_high = np.linspace(1.0, 50.0, grid_points)
+    powers = np.concatenate([alpha * np.log(ts_low), beta * np.log(ts_high)])
+    lhs = np.logaddexp(0.0, log_c3 + powers)
+    with np.errstate(over="ignore"):
+        scale = np.exp(log_c3) / alpha
+        rhs = scale * np.concatenate([np.log1p(ts_low) ** alpha, np.log1p(ts_high)])
+    return np.concatenate([ts_low, ts_high]), rhs - lhs
+
+
+def _branch_agreement(K, n, grid_points):
+    alpha = ds._growth_constants(n, K)[0]
+    return [1.0], [0.0 if 1.0**alpha == 1.0 else -abs(1.0**alpha - 1.0)]
+
+
+#: check id, statement, window, K-window predicate and
+#: (K, n, grid_points) -> (points, slacks)
+_REPORT_ROWS = (
+    (
+        "planar-linear-rate",
+        "planar identity-boundary rho bound below the sharp linear rate",
+        "K >= 1, n = 2",
+        lambda K: True,
+        _at_K(
+            lambda K, n: ds.PLANAR_LINEAR_RATE * (K - 1.0)
+            - ds.id_boundary_rho_bound(2, K).hi
+        ),
+    ),
+    (
+        "planar-exponential-lower",
+        "exp(pi (K-1)) stays below the planar quasisymmetry value at 1",
+        "K > 1, n = 2",
+        lambda K: K > 1.0,
+        _at_K(lambda K, n: ds.id_boundary_rho_bound(2, K).hi - math.pi * (K - 1.0)),
+    ),
+    (
+        "dimension-free-linear-rate",
+        "log-power chain value below (4 + 6 log 2)(K - 1)",
+        "1 <= K <= 17, any n",
+        lambda K: K <= 17.0,
+        _at_K(
+            lambda K, n: ds.tangent_domination_rhs(3, 2, K)
+            - ds.tangent_domination_lhs(3, 2, K)
+        ),
+    ),
+    (
+        "power-envelope-crossing",
+        "upper envelope overshoot dominates lower envelope undershoot",
+        "K in (1, 2]",
+        lambda K: 1.0 < K <= 2.0,
+        _power_envelope_crossing,
+    ),
+    (
+        "log-power-transfer",
+        "log of the quasisymmetry growth below the log-power transfer",
+        "K > 1 (c3 > 1)",
+        lambda K: K > 1.0,
+        _log_power_transfer,
+    ),
+    (
+        "transfer-branch-agreement",
+        "the branches of max(j^alpha, j) coincide at j = 1",
+        "K > 1",
+        lambda K: K > 1.0,
+        _branch_agreement,
+    ),
+)
+
+
+def distortion_inequality_report(
+    K: float, n: int = 2, *, grid_points: int = 2001
+) -> dict:
+    """Slack report for the scalar inequalities behind the linear rates,
+    the power envelope and the distance-ratio transfer, at a given K.
+
+    Each entry carries the minimal slack (right side minus left side) over
+    its grid and the grid point attaining it, found as in the verify checks;
+    entries whose K window excludes K are marked inapplicable.
+    """
+    n = sf.check_dimension(n)
+    if K < 1.0:
+        raise ValueError("distortion_inequality_report needs K >= 1")
+    entries = []
+    for check_id, description, window, applies, evaluate in _REPORT_ROWS:
+        entry = {"check_id": check_id, "description": description, "window": window}
+        entry.update(applicable=applies(K), min_slack=None, argmin=None, grid_points=0)
+        if entry["applicable"]:
+            points, slacks = evaluate(K, n, grid_points)
+            tracker = _Tracker()
+            for slack, at in zip(slacks, points):
+                tracker.add(slack, at)
+            entry["min_slack"] = tracker.min_slack
+            entry["argmin"] = float(tracker.argmin)
+            entry["grid_points"] = len(points)
+            if check_id == "power-envelope-crossing":
+                c3 = math.exp(ds._growth_constants(n, K)[2])
+                entry["t1_margin"] = c3 + 1.0 / c3 - 2.0
+        entries.append(entry)
+    return {"K": float(K), "n": n, "entries": entries}

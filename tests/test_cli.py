@@ -61,6 +61,12 @@ class TestSpecialFunctionCommand:
         assert out == ""
         assert "error" in err.lower()
 
+    def test_upper_end_past_float_range_is_inf(self, capsys):
+        code, out, _ = run_cli(capsys, "sf", "tau-n", "3", "1e-200")
+        assert code == 0
+        lo, hi = out.split()
+        assert float(lo) > 0.0 and hi == "inf"
+
 
 class TestMetricCommand:
     def test_exact_quasihyperbolic_punctured_space(self, capsys):
@@ -142,6 +148,16 @@ class TestChartCommand:
         assert code == 0
         assert float(out.splitlines()[0]) == pytest.approx(1.0, abs=1e-15)
 
+    def test_query_past_float_range_is_inf(self, capsys):
+        # the qed capacity edge takes expm1(2t), past float range at t = 400
+        code, out, _ = run_cli(
+            capsys,
+            "chart", "query", "--from", "j", "--to", "lambda_inv", "--t", "400",
+            "--qed-c", "0.5",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "inf"
+
 
 class TestBallCommand:
     def test_circumscribed_near_two(self, capsys):
@@ -178,6 +194,16 @@ class TestDistortCommand:
         code, out, _ = run_cli(capsys, "distort", "report", "--K", "1.5")
         assert code == 0
         assert len(out.strip().splitlines()) >= 5
+
+    @pytest.mark.parametrize("K", ["100", "141", "1e4"])
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_report_at_large_K(self, capsys, K, n):
+        # c3 = e^(60 sqrt(K-1)) overflows from K ~ 141
+        code, out, _ = run_cli(capsys, "distort", "report", "--K", K, "--n", n)
+        assert code == 0
+        for line in out.splitlines():
+            _, shown = line.split()
+            assert shown == "inapplicable" or float(shown) >= 0.0, line
 
     def test_lens_brute_requires_enough_samples(self, capsys):
         code, _, err = run_cli(
@@ -308,6 +334,32 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert out.startswith("FAIL synthetic-failure")
+
+    def test_raising_check_fails_and_the_run_goes_on(self, capsys, monkeypatch):
+        from cgft import verify
+
+        def raises(cfg, t):
+            raise OverflowError("math range error")
+
+        def passes(cfg, t):
+            t.add(1.0, "x")
+
+        monkeypatch.setattr(
+            verify,
+            "_REGISTRY",
+            [
+                verify._Check("raises", "synthetic", "one point", 0.0, (), raises),
+                verify._Check("passes", "synthetic", "one point", 0.0, (), passes),
+            ],
+        )
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL raises min_slack=nan argmin=- "
+            "(raised OverflowError: math range error)",
+            "PASS passes min_slack=1.000000e+00 argmin=x",
+            "summary: total=2 passed=1 failed=1 skipped=0",
+        ]
 
     def test_determinism_across_runs(self, capsys):
         # power-chain draws from a seeded generator, so identical output

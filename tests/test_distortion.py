@@ -17,7 +17,6 @@ from cgft.distortion import (
     annular_image_bounds,
     cylinder_bound,
     distortion_bound,
-    distortion_inequality_report,
     eps_to_K,
     eta_star_one_bound,
     id_boundary_euclid_bound,
@@ -35,6 +34,7 @@ from cgft.distortion import (
     tangent_domination_rhs,
     two_point_growth_bounds,
 )
+from cgft.verify import distortion_inequality_report
 from cgft.special_functions import Interval, ell_K, tau2_inv
 
 
@@ -74,6 +74,20 @@ class TestRhoBound:
     def test_needs_K_at_least_one(self):
         with pytest.raises(ValueError):
             id_boundary_rho_bound(2, 0.9)
+
+    def test_planar_value_past_the_underflow_of_a(self):
+        # a = phi_{1/K}(1/sqrt 2)^2 leaves the normal range from K ~ 225 and
+        # is 0 at K = 300, where log((1 - a)/a) divided by zero
+        for K in (300.0, 1e4):
+            got = id_boundary_rho_bound(2, K)
+            assert got.lo == got.hi == math.pi * K - 4.0 * math.log(2.0)
+        # the closed form agrees with log((1 - a)/a) where a is still normal
+        for K in (20.0, 200.0, 225.0):
+            a = ds._boundary_identity_a(2, K).lo
+            assert id_boundary_rho_bound(2, K).hi == pytest.approx(
+                math.pi * K - 4.0 * math.log(2.0), rel=1e-15
+            )
+            assert id_boundary_rho_bound(2, K).hi == math.log((1.0 - a) / a)
 
 
 class TestEuclidBound:

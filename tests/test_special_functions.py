@@ -318,6 +318,12 @@ class TestCapacityBounds:
         with pytest.raises(ValueError):
             gamma_n_bounds(3, 1.0)
 
+    def test_upper_end_past_float_range_is_inf(self):
+        # log1p(t)^(1-n) and log(s)^(1-n) overflow here; inf is a valid bound
+        for iv in (tau_n_bounds(3, 1e-200), gamma_n_bounds(21, 1.0000000000000002)):
+            assert iv.hi == math.inf
+            assert 0.0 < iv.lo < math.inf
+
 
 class TestTauInvBounds:
     def test_plane(self):

@@ -13,6 +13,7 @@ from cgft.verify import (
     SKIP_NOTE,
     VerifyConfig,
     VerifyReport,
+    distortion_inequality_report,
     registered_check_ids,
     run_verify,
 )
@@ -162,6 +163,16 @@ class TestVerdicts:
         e = self.run_synthetic(monkeypatch, lambda cfg, t: t.add(math.inf, "x"))
         assert e.passed and e.argmin == "x"
 
+    def test_raising_check_fails_with_the_exception_as_note(self, monkeypatch):
+        def fn(cfg, t):
+            t.add(1.0, "a")
+            raise OverflowError("math range error")
+
+        e = self.run_synthetic(monkeypatch, fn)
+        assert not e.passed and not e.skipped
+        assert math.isnan(e.min_slack)
+        assert e.note == "raised OverflowError: math range error"
+
     def test_infinite_uniform_constant_fails_its_check(self):
         # every point of the monotonicity grid is NaN for uniform_c = inf
         cfg = VerifyConfig(uniform_c=math.inf)
@@ -177,3 +188,42 @@ class TestVerdicts:
             cfg = VerifyConfig(seed=seed)
             (e,) = run_verify("^absolute-ratio-metric-sandwich$", cfg).entries
             assert e.passed, (seed, e.min_slack, e.argmin)
+
+
+class TestDistortionReport:
+    def test_exported_from_verify_and_the_package(self):
+        import cgft
+        import cgft.distortion
+
+        assert cgft.distortion_inequality_report is distortion_inequality_report
+        assert not hasattr(cgft.distortion, "distortion_inequality_report")
+
+    def test_window_does_not_depend_on_applicability(self):
+        windows: dict[str, set[str]] = {}
+        for K in (1.0, 1.5, 18.0):
+            for e in distortion_inequality_report(K)["entries"]:
+                windows.setdefault(e["check_id"], set()).add(e["window"])
+        assert all(len(w) == 1 for w in windows.values()), windows
+
+    def test_single_point_rows_report_their_point(self):
+        by_id = {e["check_id"]: e for e in distortion_inequality_report(1.5)["entries"]}
+        for check_id in ("planar-linear-rate", "dimension-free-linear-rate"):
+            assert by_id[check_id]["argmin"] == 1.5
+            assert by_id[check_id]["grid_points"] == 1
+        assert by_id["transfer-branch-agreement"]["argmin"] == 1.0
+
+    def test_planar_slack_is_zero_at_one(self):
+        (entry, *_) = distortion_inequality_report(1.0)["entries"]
+        assert entry["check_id"] == "planar-linear-rate"
+        assert entry["min_slack"] == 0.0
+
+    @pytest.mark.parametrize("K", [100.0, 141.0, 1e4])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_large_K_slacks_nonnegative(self, K, n):
+        # c3 = e^(60 sqrt(K-1)) sent the log-power row to -inf at K = 100
+        # and raised from K ~ 141
+        entries = distortion_inequality_report(K, n)["entries"]
+        applicable = {e["check_id"]: e for e in entries if e["applicable"]}
+        assert "log-power-transfer" in applicable
+        for check_id, e in applicable.items():
+            assert e["min_slack"] >= 0.0, check_id
