@@ -105,8 +105,8 @@ class DomainProps:
     def __post_init__(self) -> None:
         for label in ("uniform_constant", "qed_constant", "bounded_with_diam"):
             v = getattr(self, label)
-            if v is not None and not v > 0:
-                raise ValueError(f"{label} must be positive when present")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{label} must be positive and finite when present")
         if self.locality not in ("global", "local"):
             raise ValueError("locality must be 'global' or 'local'")
 
@@ -295,8 +295,8 @@ def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
     enclosure ends chosen so every edge remains a valid upper bound.
     """
     n = check_dimension(n)
-    if cn is not None and not cn > 0:
-        raise ValueError("cn must be positive when present")
+    if cn is not None and not 0 < cn < math.inf:
+        raise ValueError("cn must be positive and finite when present")
 
     if n == 2:
         def g_hi(s: float) -> float:

@@ -165,9 +165,10 @@ def _g(x: float) -> str:
 
 def _rising(t: _Tracker, vals, labels, relative: bool = False) -> None:
     """A sequence that must not fall: add each step b - a (divided by
-    max(|a|, 1e-300) if relative).  Negate a sequence that must not rise."""
+    max(|a|, 1e-300) if relative).  Negate a sequence that must not rise.
+    Equal neighbours step by 0, also where both are infinite."""
     for a, b, where in zip(vals, vals[1:], labels):
-        step = b - a
+        step = 0.0 if a == b else b - a
         t.add(step / max(abs(a), 1e-300) if relative else step, where)
 
 
@@ -1290,8 +1291,8 @@ def distortion_inequality_report(
     entries whose K window excludes K are marked inapplicable.
     """
     n = sf.check_dimension(n)
-    if K < 1.0:
-        raise ValueError("distortion_inequality_report needs K >= 1")
+    if not 1.0 <= K < math.inf:
+        raise ValueError(f"distortion_inequality_report needs finite K >= 1, got K={K}")
     entries = []
     for check_id, description, window, applies, evaluate in _REPORT_ROWS:
         entry = {"check_id": check_id, "description": description, "window": window}

@@ -158,6 +158,18 @@ class TestChartCommand:
         assert code == 0
         assert out.splitlines()[0] == "inf"
 
+    @pytest.mark.parametrize(
+        "flag", [["--cn", "inf"], ["--uniform-c", "inf"], ["--diam", "inf"], ["--qed-c", "nan"]]
+    )
+    def test_non_finite_constant_is_usage_error(self, capsys, flag):
+        # with --cn inf the mu -> j edge printed 0, a false bound j <= 0
+        code, out, err = run_cli(
+            capsys,
+            "chart", "query", "--from", "mu", "--to", "j", "--t", "0.5", "--connected", *flag,
+        )
+        assert code == 2 and out == ""
+        assert "finite" in err
+
 
 class TestBallCommand:
     def test_circumscribed_near_two(self, capsys):
@@ -204,6 +216,12 @@ class TestDistortCommand:
         for line in out.splitlines():
             _, shown = line.split()
             assert shown == "inapplicable" or float(shown) >= 0.0, line
+
+    @pytest.mark.parametrize("K", ["nan", "inf"])
+    def test_report_refuses_non_finite_K(self, capsys, K):
+        code, out, err = run_cli(capsys, "distort", "report", "--K", K)
+        assert code == 2 and out == ""
+        assert f"K={K}" in err
 
     def test_lens_brute_requires_enough_samples(self, capsys):
         code, _, err = run_cli(

@@ -1,3 +1,5 @@
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgft.harmonic_qr import polyline_interior_domain
 from cgft.metrics import (
     CANONICAL_DOMAIN_NAMES,
     INFINITY,
+    ConnectivityError,
     DomainSpec,
     ExtendedPoint,
     InconsistentBoundsError,
@@ -30,6 +34,7 @@ from cgft.metrics import (
     r_ratio,
     seittenranta,
 )
+from cgft.metrics import _grid_shortest_path, _simpson_weights
 from cgft.special_functions import gamma2, mu, tau2, teichmuller_p_circle
 
 RNG = np.random.default_rng(0)
@@ -456,6 +461,133 @@ class TestQuasihyperbolicNumeric:
         res = quasihyperbolic_numeric(half_plane, x, y, 5e-3)
         assert res.value >= exact - 5e-3
         assert res.value <= exact * 1.15
+
+
+def loop_grid_path(D, ax, ay, level):
+    """The quasihyperbolic grid graph built one segment at a time, kept as
+    the reference for the array kernel: a dict lattice, one oracle call and
+    one 1-D norm per segment, the same acceptance rule, Dijkstra on lists."""
+    n = D.dimension
+    N = (8 if n == 2 else 4) * 2**level
+    gap = float(np.linalg.norm(ax - ay))
+    half = 1.6 * max(gap, D.boundary_distance(ax), D.boundary_distance(ay))
+    spacing = 2.0 * half / N
+    axes = [np.linspace(c - half, c + half, N + 1) for c in 0.5 * (ax + ay)]
+    ids, pts = {}, []
+    for key in np.ndindex(*([N + 1] * n)):
+        p = np.array([axes[j][i] for j, i in enumerate(key)])
+        if D.dist_to_boundary(p) > 0.0:
+            ids[key] = len(pts)
+            pts.append(p)
+    i_x, i_y = len(pts), len(pts) + 1
+    pts += [ax, ay]
+    adj = [[] for _ in pts]
+
+    def connect(i, k, m):
+        a, b = pts[i], pts[k]
+        d = D.dist_to_boundary(a + np.linspace(0.0, 1.0, m)[:, None] * (b - a))
+        h = float(np.linalg.norm(b - a)) / (m - 1)
+        if np.all(d > 0.0) and np.all(h < d[:-1] + d[1:]):
+            w = h * np.sum(_simpson_weights(m) * (1.0 / d))
+            adj[i].append((k, w))
+            adj[k].append((i, w))
+
+    half_stencil = [
+        off
+        for off in itertools.product(range(-2, 3), repeat=n)
+        if 0 < sum(o * o for o in off) <= 4.84 and off > (0,) * n
+    ]
+    for key, i in ids.items():
+        for off in half_stencil:
+            nb = tuple(k + o for k, o in zip(key, off))
+            if nb in ids:
+                connect(i, ids[nb], 9)
+    for e in (i_x, i_y):
+        for k in range(i_x):
+            if np.sqrt(np.sum((pts[k] - pts[e]) ** 2)) <= 3.0 * spacing:
+                connect(e, k, 9)
+    connect(i_x, i_y, 257)
+
+    dist, done, heap = {i_x: 0.0}, set(), [(0.0, i_x)]
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if v == i_y:
+            return dv
+        if v in done:
+            continue
+        done.add(v)
+        for k, w in adj[v]:
+            if dv + w < dist.get(k, math.inf):
+                dist[k] = dv + w
+                heapq.heappush(heap, (dv + w, k))
+    return None
+
+
+def l_shape():
+    """The L-shaped hexagon [0, 2] x [0, 1] plus [0, 1] x [1, 2], whose
+    oracle is a signed distance (negative outside)."""
+    return polyline_interior_domain([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+
+
+GRAPH_CASES = [
+    ("ball", lambda: canonical_domain("ball", 2), (0.2, 0.1), (-0.4, 0.3)),
+    ("half plane", lambda: canonical_domain("half_space", 2), (0.0, 1.0), (1.84, 0.65)),
+    ("punctured ball 3-D", lambda: canonical_domain("punctured_ball", 3),
+     (0.4, 0.02, 0.0), (-0.44, 0.16, 0.05)),
+    ("plane minus 0, 1", lambda: canonical_domain("plane_minus_0_1", 2), (0.5, 0.5), (0.5, -0.5)),
+    ("L-shaped polyline", l_shape, (1.5, 0.5), (0.5, 1.5)),
+    # the lattice spans [-8, 8] x [-5, 11] in exact steps, so x = (0, 1)
+    # is a lattice node and one endpoint edge has length zero
+    ("endpoint on a node", lambda: canonical_domain("half_space", 2), (0.0, 1.0), (0.0, 5.0)),
+]
+
+
+def plane_minus_line():
+    """R^2 minus the line x_2 = 0; the graph must never step across it."""
+    return DomainSpec(
+        dimension=2,
+        dist_to_boundary=lambda X: np.abs(np.asarray(X)[..., 1]),
+        boundary_samples=(ExtendedPoint((0.0, 0.0)), INFINITY),
+    )
+
+
+class TestQuasihyperbolicGraph:
+    """The array kernel against the per-segment graph it replaced."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("label,make,x,y", GRAPH_CASES, ids=[c[0] for c in GRAPH_CASES])
+    def test_matches_per_segment_loop(self, label, make, x, y, level):
+        D, ax, ay = make(), np.array(x), np.array(y)
+        expected = loop_grid_path(D, ax, ay, level)
+        assert expected is not None
+        assert _grid_shortest_path(D, ax, ay, level) == expected
+
+    def test_endpoint_lies_on_a_node(self):
+        for N in (8, 16, 32):
+            assert 1.0 in np.linspace(-5.0, 11.0, N + 1)
+
+    @pytest.mark.parametrize("x,y", [((0.0, 1.0), (0.3, -0.7)), ((0.1, 0.5), (0.0, -1.3))])
+    def test_no_segment_crosses_the_boundary(self, x, y):
+        # Simpson nodes on both sides of x_2 = 0 all have d > 0; only the
+        # covering condition h < d_j + d_{j+1} rejects the crossing segment
+        with pytest.raises(ConnectivityError):
+            quasihyperbolic_numeric(plane_minus_line(), x, y)
+
+    def test_memory_of_a_level_4_graph(self):
+        import tracemalloc
+
+        D = canonical_domain("punctured_space", 2)
+        ax, ay = np.array([1.0, 0.0]), np.array([-0.99, 0.06])
+        tracemalloc.start()
+        try:
+            _grid_shortest_path(D, ax, ay, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the per-segment graph with dict adjacency peaked at 21.3 MiB and
+        # this kernel at 14.3 MiB (numpy 2.4, CPython 3.11); Simpson nodes
+        # are taken _QH_ROWS segments at a time, so they add O(1) to this
+        assert peak < 16 * 2**20
 
 
 class TestMuBallCenter:

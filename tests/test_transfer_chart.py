@@ -366,10 +366,17 @@ class TestDomainProps:
         with pytest.raises(ValueError):
             DomainProps(bounded_with_diam=0.0)
 
+    @pytest.mark.parametrize("label", ["uniform_constant", "qed_constant", "bounded_with_diam"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_constants(self, label, value):
+        with pytest.raises(ValueError, match=label):
+            DomainProps(**{label: value})
+
     def test_locality_values(self):
         with pytest.raises(ValueError):
             DomainProps(locality="sometimes")
 
     def test_bad_cn(self):
-        with pytest.raises(ValueError):
-            builtin_chart(2, cn=-1.0)
+        for cn in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                builtin_chart(2, cn=cn)

@@ -173,8 +173,21 @@ class TestVerdicts:
         assert math.isnan(e.min_slack)
         assert e.note == "raised OverflowError: math range error"
 
+    def test_equal_infinite_neighbours_do_not_fall(self, monkeypatch):
+        def fn(cfg, t):
+            verify._rising(t, [1.0, math.inf, math.inf], ["a", "b"], relative=True)
+
+        e = self.run_synthetic(monkeypatch, fn)
+        assert e.passed and e.min_slack == 0.0 and e.argmin == "b"
+
+    def test_capacity_distance_edge_constant_at_inf(self):
+        # with cn = 1e-300 the composed capacity route is +inf over the grid
+        cfg = VerifyConfig(cn=1e-300, qed_c=0.5)
+        (e,) = run_verify("^capacity-distance-ratio-constant$", cfg).entries
+        assert e.passed and e.min_slack == 0.0
+
     def test_infinite_uniform_constant_fails_its_check(self):
-        # every point of the monotonicity grid is NaN for uniform_c = inf
+        # DomainProps refuses uniform_c = inf, so the check raises and fails
         cfg = VerifyConfig(uniform_c=math.inf)
         (e,) = run_verify("^uniform-domain-growth-constant$", cfg).entries
         assert not e.passed
