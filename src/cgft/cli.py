@@ -146,6 +146,7 @@ def _props_from_args(args) -> tc.DomainProps:
     return tc.DomainProps(
         uniform_constant=args.uniform_c,
         qed_constant=args.qed_c,
+        cn_constant=args.cn,
         boundary_connected=args.connected,
         boundary_nondegenerate=args.nondegenerate,
         boundary_card_ge_2=args.card_ge_2,
@@ -156,7 +157,7 @@ def _props_from_args(args) -> tc.DomainProps:
 
 
 def _cmd_chart(args, parser) -> int:
-    chart = tc.builtin_chart(args.dimension, cn=args.cn)
+    chart = tc.builtin_chart(args.dimension)
     if args.chart_op == "export":
         rows = tc.chart_rows(chart)
         header = ["from", "to", "formula", "window", "requires", "validity", "provenance"]
@@ -454,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("query", "export"):
         pc = chart_sub.add_parser(name)
         pc.add_argument("--dimension", type=int, default=2)
-        pc.add_argument("--cn", type=float, default=None)
         if name == "query":
             pc.add_argument("--frm", "--from", dest="frm", required=True,
                             choices=[m.value for m in tc.MetricId])
@@ -462,6 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
             pc.add_argument("--t", type=float, required=True)
             pc.add_argument("--uniform-c", type=float, default=None)
             pc.add_argument("--qed-c", type=float, default=None)
+            pc.add_argument("--cn", type=float, default=None)
             pc.add_argument("--connected", action="store_true")
             pc.add_argument("--nondegenerate", action="store_true")
             pc.add_argument("--card-ge-2", action="store_true")

@@ -87,7 +87,12 @@ class DomainProps:
     """Caller-asserted facts about the domain; nothing is ever inferred.
 
     ``uniform_constant`` and ``qed_constant`` are the growth/capacity
-    comparison constants of the respective domain classes.  ``locality``
+    comparison constants of the respective domain classes; no domain has
+    a uniform constant below 1 (j <= k) or a QED constant above 1
+    (M(Gamma; G) <= M(Gamma; R^n)).  ``cn_constant`` is the constant in
+    cn * j <= mu for domains with connected boundary; it depends only on
+    the dimension, but has no closed form, so the caller supplies it.
+    ``locality``
     set to "local" asserts that the point pairs of interest are confined
     to a small ball, which some transfers require; they carry no
     explicit radius, so the assertion is the caller's responsibility.
@@ -95,6 +100,7 @@ class DomainProps:
 
     uniform_constant: float | None = None
     qed_constant: float | None = None
+    cn_constant: float | None = None
     boundary_connected: bool = False
     boundary_nondegenerate: bool = False
     boundary_card_ge_2: bool = False
@@ -103,10 +109,14 @@ class DomainProps:
     locality: str = "global"
 
     def __post_init__(self) -> None:
-        for label in ("uniform_constant", "qed_constant", "bounded_with_diam"):
+        for label in ("uniform_constant", "qed_constant", "cn_constant", "bounded_with_diam"):
             v = getattr(self, label)
             if v is not None and not 0 < v < math.inf:
                 raise ValueError(f"{label} must be positive and finite when present")
+        if self.uniform_constant is not None and self.uniform_constant < 1:
+            raise ValueError("uniform_constant must be >= 1")
+        if self.qed_constant is not None and self.qed_constant > 1:
+            raise ValueError("qed_constant must be <= 1")
         if self.locality not in ("global", "local"):
             raise ValueError("locality must be 'global' or 'local'")
 
@@ -121,8 +131,7 @@ _REQUIREMENT_CHECKS: dict[str, Callable[[DomainProps], bool]] = {
     "convex": lambda p: p.convex,
     "bounded_with_diam": lambda p: p.bounded_with_diam is not None,
     "locality=local": lambda p: p.locality == "local",
-    # a dimensional comparison constant supplied at chart construction
-    "cn_constant": lambda p: True,
+    "cn_constant": lambda p: p.cn_constant is not None,
 }
 
 
@@ -134,28 +143,22 @@ class ZetaEdge:
     to: MetricId
     fn: Callable[[float, DomainProps], float] = field(compare=False)
     requires: tuple[str, ...]
-    validity: str  # "global" | "local_only"
     provenance: str
     formula: str
     window: str = "t >= 0"
-    #: True when a construction-time constant the edge needs was not given
-    unconfigured: bool = False
 
     def __post_init__(self) -> None:
-        if self.validity not in ("global", "local_only"):
-            raise ValueError("validity must be 'global' or 'local_only'")
         for r in self.requires:
             if r not in _REQUIREMENT_CHECKS:
                 raise ValueError(f"unknown requirement id {r!r}")
 
-    def missing(self, props: DomainProps) -> tuple[str, ...]:
-        out = [r for r in self.requires if not _REQUIREMENT_CHECKS[r](props)]
-        if self.unconfigured:
-            out.append("cn_constant")
-        return tuple(out)
+    @property
+    def validity(self) -> str:
+        """Scope of the bound: "local_only" when gated on local pairs, else "global"."""
+        return "local_only" if "locality=local" in self.requires else "global"
 
-    def preconds(self, props: DomainProps) -> bool:
-        return not self.missing(props)
+    def missing(self, props: DomainProps) -> tuple[str, ...]:
+        return tuple(r for r in self.requires if not _REQUIREMENT_CHECKS[r](props))
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ def query(
     def walk(node: MetricId, value: float, nodes: list[MetricId], used: list[ZetaEdge]) -> None:
         nonlocal best
         for edge in chart.edges_from(node):
-            if edge.to in nodes or not edge.preconds(props):
+            if edge.to in nodes or edge.missing(props):
                 continue
             try:
                 nxt = eval_edge(edge, props, value)
@@ -283,20 +286,30 @@ def union_modulus(
 # the builtin chart
 
 
-def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
-    """The full transfer graph in dimension n.
+def _decreasing_inverse(inv: Callable[[float], float]) -> Callable[[float], float]:
+    """Extend the inverse of a decreasing map of (0, inf) onto itself to
+    its exact limits, inf at y = 0 and 0 at y = inf, so a path carrying an
+    infinite or vanishing bound gives the limit instead of raising."""
 
-    ``cn`` is the dimensional constant in the comparison
-    cn * j <= mu (valid when the boundary is connected); no closed form
-    is available, so the capacity -> distance-ratio edge stays gated
-    until the caller supplies a value.
+    def inverse(y: float) -> float:
+        if y == 0.0:
+            return math.inf
+        if y == math.inf:
+            return 0.0
+        return inv(y)
 
-    For n >= 3 the ring-capacity functions are replaced by their
-    enclosure ends chosen so every edge remains a valid upper bound.
+    return inverse
+
+
+def builtin_chart(n: int = 2) -> TransferChart:
+    """The full transfer graph in dimension n; it depends on n alone.
+
+    Every domain constant an edge needs, ``cn_constant`` among them, is
+    read from the DomainProps of the query.  For n >= 3 the
+    ring-capacity functions are replaced by their enclosure ends chosen
+    so every edge remains a valid upper bound.
     """
     n = check_dimension(n)
-    if cn is not None and not 0 < cn < math.inf:
-        raise ValueError("cn must be positive and finite when present")
 
     if n == 2:
         def g_hi(s: float) -> float:
@@ -305,11 +318,11 @@ def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
         def tau_lo(s: float) -> float:
             return tau2(s)
 
+        @_decreasing_inverse
         def tinv_hi(y: float) -> float:
             return tau2_inv(y)
 
-        def tinv_lo(y: float) -> float:
-            return tau2_inv(y)
+        tinv_lo = tinv_hi
     else:
         def g_hi(s: float) -> float:
             return gamma_n_bounds(n, s).hi
@@ -317,9 +330,11 @@ def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
         def tau_lo(s: float) -> float:
             return tau_n_bounds(n, s).lo
 
+        @_decreasing_inverse
         def tinv_hi(y: float) -> float:
             return tau_n_inv_bounds(n, y).hi
 
+        @_decreasing_inverse
         def tinv_lo(y: float) -> float:
             return tau_n_inv_bounds(n, y).lo
 
@@ -369,7 +384,7 @@ def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
         return math.log1p(2.0 * tinv_hi(1.0 / t))
 
     def compose_mu_to_ring(t: float, props: DomainProps) -> float:
-        return qed_capacity(t / cn, props)
+        return qed_capacity(t / props.cn_constant, props)
 
     def compose_ring_to_cap(t: float, props: DomainProps) -> float:
         u = ring_to_j(t, props)
@@ -389,116 +404,114 @@ def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
 
     edges = [
         ZetaEdge(
-            K, J, lambda t, p: t, (), "global",
+            K, J, lambda t, p: t, (),
             "distance-ratio-below-quasihyperbolic", "t",
         ),
         ZetaEdge(
             J, K, lambda t, p: p.uniform_constant * t,
-            ("uniform_constant",), "global",
+            ("uniform_constant",),
             "uniform-domain-growth", "c_uniform * t",
         ),
         ZetaEdge(
-            J, MU, small_ball_capacity, ("locality=local",), "local_only",
+            J, MU, small_ball_capacity, ("locality=local",),
             "small-ball-ring-capacity", "gamma_n(1 / (exp(t) - 1))",
             window="0 <= t < log 2",
         ),
         ZetaEdge(
-            J, MU, log_power_upper, ("locality=local",), "local_only",
+            J, MU, log_power_upper, ("locality=local",),
             "log-power-capacity-upper", "omega_{n-1} * log(1/t)^(1-n)",
             window="0 <= t < 1",
         ),
         ZetaEdge(
             K, MU, small_ball_capacity,
-            ("boundary_connected", "boundary_nondegenerate"), "global",
+            ("boundary_connected", "boundary_nondegenerate"),
             "connected-boundary-capacity-bound", "gamma_n(1 / (exp(t) - 1))",
             window="0 <= t < log 2",
         ),
         ZetaEdge(
-            MU, J, lambda t, p: t / cn,
-            ("boundary_connected", "cn_constant"), "global",
+            MU, J, lambda t, p: t / p.cn_constant,
+            ("boundary_connected", "cn_constant"),
             "capacity-dominates-distance-ratio", "t / c_n",
-            unconfigured=cn is None,
         ),
         ZetaEdge(
             MU, K, lambda t, p: p.uniform_constant * t,
-            ("uniform_constant", "boundary_connected"), "global",
+            ("uniform_constant", "boundary_connected"),
             "uniform-capacity-growth", "c_uniform * t",
         ),
         ZetaEdge(
-            J, LI, qed_capacity, ("qed_constant",), "global",
+            J, LI, qed_capacity, ("qed_constant",),
             "qed-capacity-comparison", "1 / (c_qed * tau_n(exp(2 t) - 1))",
         ),
         ZetaEdge(
-            K, LI, qed_capacity, ("qed_constant",), "global",
+            K, LI, qed_capacity, ("qed_constant",),
             "qed-capacity-comparison-via-quasihyperbolic",
             "1 / (c_qed * tau_n(exp(2 t) - 1))",
         ),
         ZetaEdge(
             MU, LI, compose_mu_to_ring,
-            ("boundary_connected", "cn_constant", "qed_constant"), "global",
+            ("boundary_connected", "cn_constant", "qed_constant"),
             "composed-capacity-route",
             "1 / (c_qed * tau_n(exp(2 t / c_n) - 1))",
-            unconfigured=cn is None,
         ),
         ZetaEdge(
-            LI, J, ring_to_j, (), "global",
+            LI, J, ring_to_j, (),
             "separating-ring-lower-bound",
             "log(1 + tau_n_inv(1 / (sqrt(2) t)))",
         ),
         ZetaEdge(
-            LI, K, ring_to_k, (), "global",
+            LI, K, ring_to_k, (),
             "separating-ring-quasihyperbolic-bound",
             "log(1 / (1 - tau_n_inv(1 / (sqrt(2) t))))",
             window="0 <= t < 1 / (sqrt(2) tau_n(1))",
         ),
         ZetaEdge(
-            LI, MU, compose_ring_to_cap, ("locality=local",), "local_only",
+            LI, MU, compose_ring_to_cap, ("locality=local",),
             "composed-ring-capacity-route",
             "gamma_n(1 / (exp(log(1 + tau_n_inv(1 / (sqrt(2) t)))) - 1))",
             window="composed window of the two factors",
         ),
         ZetaEdge(
-            J, DE, lambda t, p: 2.0 * t, (), "global",
+            J, DE, lambda t, p: 2.0 * t, (),
             "absolute-ratio-two-sided", "2 t",
         ),
         ZetaEdge(
-            DE, J, lambda t, p: t, (), "global",
+            DE, J, lambda t, p: t, (),
             "absolute-ratio-dominates-distance-ratio", "t",
         ),
         ZetaEdge(
-            AL, J, lambda t, p: t, ("convex",), "global",
+            AL, J, lambda t, p: t, ("convex",),
             "apollonian-dominates-distance-ratio", "t",
         ),
         ZetaEdge(
             MU, DE, cap_to_delta,
-            ("boundary_connected", "boundary_card_ge_2"), "global",
+            ("boundary_connected", "boundary_card_ge_2"),
             "capacity-controls-absolute-ratio",
             "log(1 + 1 / tau_n_inv(t))",
         ),
         ZetaEdge(
-            LI, DE, ring_to_delta, ("boundary_card_ge_2",), "global",
+            LI, DE, ring_to_delta, ("boundary_card_ge_2",),
             "ring-bound-on-absolute-ratio",
             "log(1 + 2 tau_n_inv(1 / t))",
         ),
         ZetaEdge(
-            J, EU, lambda t, p: math.expm1(t) * p.bounded_with_diam,
-            ("bounded_with_diam",), "global",
+            J, EU, lambda t, p: _expm1(t) * p.bounded_with_diam,
+            ("bounded_with_diam",),
             "exponential-distance-ratio-ball", "(exp(t) - 1) * diam",
         ),
         ZetaEdge(
-            DE, EU, lambda t, p: math.expm1(t) * p.bounded_with_diam,
-            ("bounded_with_diam",), "global",
+            DE, EU, lambda t, p: _expm1(t) * p.bounded_with_diam,
+            ("bounded_with_diam",),
             "exponential-absolute-ratio-ball", "(exp(t) - 1) * diam",
         ),
         ZetaEdge(
             K, EU, lambda t, p: t * p.bounded_with_diam,
-            ("bounded_with_diam",), "global",
+            ("bounded_with_diam",),
             "quasihyperbolic-above-relative-distance", "t * diam",
         ),
         ZetaEdge(
             LI, EU,
             lambda t, p: tinv_hi(1.0 / (math.sqrt(2.0) * t)) * p.bounded_with_diam,
-            ("bounded_with_diam",), "global",
+            ("bounded_with_diam",),
             "separating-ring-distance-bound",
             "tau_n_inv(1 / (sqrt(2) t)) * diam",
         ),
@@ -507,7 +520,7 @@ def builtin_chart(n: int = 2, cn: float | None = None) -> TransferChart:
         edges.append(
             ZetaEdge(
                 K, MU, planar_piecewise,
-                ("boundary_connected", "boundary_nondegenerate"), "global",
+                ("boundary_connected", "boundary_nondegenerate"),
                 "planar-piecewise-capacity-bound",
                 "2 pi a / log(1/(6t)) for t <= 1/12 else 324 pi t^2, "
                 "a = (9/8) log 2",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -534,11 +534,13 @@ def _edge_grid(t: _Tracker, e, props: tc.DomainProps) -> None:
     _rising(t, vals, (f"{e.provenance} t={_g(x)}" for x in grid), relative=True)
 
 
-def _gated_edges(t: _Tracker, chart, name: str, props: tc.DomainProps) -> list:
-    """The edges gated on the ``name`` constant that ``props`` opens; a
-    chart in which none opens fails the check."""
+def _gated_edges(t: _Tracker, name: str, props: tc.DomainProps) -> list:
+    """The planar edges gated on the ``name`` constant that ``props``
+    opens; if none opens, the check fails."""
     gate = f"{name}_constant"
-    edges = [e for e in chart.edges if gate in e.requires and not e.missing(props)]
+    edges = [
+        e for e in tc.builtin_chart(2).edges if gate in e.requires and not e.missing(props)
+    ]
     if not edges:
         t.add(-1.0, f"no {name}-gated edge opened")
     return edges
@@ -1106,8 +1108,9 @@ def _chk_lipschitz_extension(cfg, t):
     needs=("cn",),
 )
 def _chk_cn_edges(cfg, t):
-    for e in _gated_edges(t, tc.builtin_chart(2, cn=cfg.cn), "cn", _FULL_PROPS):
-        _edge_grid(t, e, _FULL_PROPS)
+    props = replace(_FULL_PROPS, cn_constant=cfg.cn)
+    for e in _gated_edges(t, "cn", props):
+        _edge_grid(t, e, props)
 
 
 @_register(
@@ -1119,8 +1122,8 @@ def _chk_cn_edges(cfg, t):
 )
 def _chk_uniform_edges(cfg, t):
     props = _local_props(uniform_constant=cfg.uniform_c)
-    for e in _gated_edges(t, tc.builtin_chart(2), "uniform", props):
-        v = tc.eval_edge(e, props, 1e-6 / max(cfg.uniform_c, 1.0))
+    for e in _gated_edges(t, "uniform", props):
+        v = tc.eval_edge(e, props, 1e-6 / cfg.uniform_c)
         t.add(1e-3 - v, f"{e.provenance} zero limit")
         _edge_grid(t, e, props)
 
@@ -1134,7 +1137,7 @@ def _chk_uniform_edges(cfg, t):
 )
 def _chk_qed_edges(cfg, t):
     props = _local_props(qed_constant=cfg.qed_c)
-    for e in _gated_edges(t, tc.builtin_chart(2), "qed", props):
+    for e in _gated_edges(t, "qed", props):
         v6 = tc.eval_edge(e, props, 1e-6)
         v60 = tc.eval_edge(e, props, 1e-60)
         t.add(v6 - v60, f"{e.provenance} decay ordering")

@@ -170,6 +170,43 @@ class TestChartCommand:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "flag, label", [(["--uniform-c", "0.5"], "uniform"), (["--qed-c", "4"], "qed")]
+    )
+    def test_impossible_constant_is_usage_error(self, capsys, flag, label):
+        # --uniform-c 0.5 printed j <= 0.5 k, against the chart's own k -> j edge
+        code, out, err = run_cli(
+            capsys, "chart", "query", "--from", "j", "--to", "k", "--t", "1", *flag
+        )
+        assert code == 2 and out == ""
+        assert f"{label}_constant" in err
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # an explored path through the qed capacity reaches tau2_inv(0)
+            (["--from", "j", "--t", "0.3", "--cn", "0.15", "--uniform-c", "2",
+              "--qed-c", "0.5", "--diam", "2", "--connected", "--nondegenerate"],
+             2.0 * math.expm1(0.3)),
+            (["--dimension", "3", "--from", "k", "--t", "0.01", "--uniform-c", "2",
+              "--qed-c", "0.5", "--diam", "2", "--connected", "--nondegenerate",
+              "--card-ge-2"],
+             0.02),
+            # (exp(t) - 1) * diam overflows on the way, t * diam does not
+            (["--from", "k", "--t", "800", "--diam", "2"], 1600.0),
+        ],
+    )
+    def test_infinite_detour_keeps_finite_answer(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "chart", "query", "--to", "euclid", *argv)
+        assert code == 0
+        value, path = out.strip().splitlines()
+        assert float(value) == pytest.approx(expected, rel=1e-15)
+        assert path == f"path: {argv[argv.index('--from') + 1]} -> euclid"
+
+    def test_export_takes_no_domain_constant(self, capsys):
+        code, out, _ = run_cli(capsys, "chart", "export", "--cn", "0.15")
+        assert code == 2 and out == ""
+
 
 class TestBallCommand:
     def test_circumscribed_near_two(self, capsys):

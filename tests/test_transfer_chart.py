@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cgft.special_functions import gamma2, omega_sphere, tau2, tau2_inv
 from cgft.transfer_chart import (
@@ -29,6 +32,7 @@ J, K, MU, LI, DE, AL, EU = (
 ALL_PROPS = DomainProps(
     uniform_constant=2.0,
     qed_constant=0.5,
+    cn_constant=0.15,
     boundary_connected=True,
     boundary_nondegenerate=True,
     boundary_card_ge_2=True,
@@ -41,11 +45,6 @@ BARE = DomainProps()
 
 @pytest.fixture(scope="module")
 def chart():
-    return builtin_chart(2, cn=0.15)
-
-
-@pytest.fixture(scope="module")
-def chart_nocn():
     return builtin_chart(2)
 
 
@@ -164,10 +163,10 @@ class TestGating:
             eval_edge(e, BARE, 0.1)
         assert set(ei.value.missing) == {"boundary_connected", "boundary_nondegenerate"}
 
-    def test_unconfigured_cn_gates_capacity_to_j(self, chart_nocn):
-        e = only_edge(chart_nocn, MU, J)
+    def test_unconfigured_cn_gates_capacity_to_j(self, chart):
+        e = only_edge(chart, MU, J)
         with pytest.raises(MissingPropertyError) as ei:
-            eval_edge(e, ALL_PROPS, 0.5)
+            eval_edge(e, replace(ALL_PROPS, cn_constant=None), 0.5)
         assert "cn_constant" in ei.value.missing
 
     def test_convex_gate(self, chart):
@@ -215,12 +214,12 @@ class TestQuery:
         assert res.nodes == (K, MU)
 
     def test_mu_to_ring_composition(self, chart):
-        # with only connectivity + QED facts, the best route equals the
+        # with only connectivity, cn and QED facts, the best route equals the
         # stated composition through the distance ratio
-        props = DomainProps(boundary_connected=True, qed_constant=0.5)
+        cn = 0.15
+        props = DomainProps(boundary_connected=True, qed_constant=0.5, cn_constant=cn)
         t = 0.05
         res = query(chart, MU, LI, props, t)
-        cn = 0.15
         expected = 1.0 / (0.5 * tau2(math.expm1(2.0 * t / cn)))
         assert res is not None
         assert res.value == pytest.approx(expected, rel=1e-12)
@@ -238,7 +237,7 @@ class TestQuery:
                 res = query(chart, frm, to, ALL_PROPS, t)
                 assert res is not None
                 for e in chart.edges_between(frm, to):
-                    if not e.preconds(ALL_PROPS):
+                    if e.missing(ALL_PROPS):
                         continue
                     try:
                         direct = eval_edge(e, ALL_PROPS, t)
@@ -253,6 +252,55 @@ class TestQuery:
         assert res is not None
         assert res.value == pytest.approx(0.6, rel=1e-12)
         assert res.nodes == (AL, J, DE)
+
+
+CHARTS = {n: builtin_chart(n) for n in (2, 3)}
+FACTS = {
+    "boundary_connected": st.just(True),
+    "boundary_nondegenerate": st.just(True),
+    "boundary_card_ge_2": st.just(True),
+    "convex": st.just(True),
+    "locality": st.just("local"),
+    "uniform_constant": st.floats(1.0, 10.0),
+    "qed_constant": st.floats(0.01, 1.0),
+    "cn_constant": st.floats(0.01, 10.0),
+    "bounded_with_diam": st.floats(0.01, 10.0),
+}
+
+
+@st.composite
+def nested_facts(draw):
+    """Domain facts F and G with F a subset of G (same constant values)."""
+    fewer, more = {}, {}
+    for name, values in FACTS.items():
+        level = draw(st.integers(0, 2))  # in neither, in G only, in both
+        value = draw(values)
+        if level >= 1:
+            more[name] = value
+        if level == 2:
+            fewer[name] = value
+    return DomainProps(**fewer), DomainProps(**more)
+
+
+class TestMoreFactsNeverWorsen:
+    """A fact only opens edges, so the best bound cannot get worse and no
+    newly opened path may raise; None counts as +inf."""
+
+    @given(
+        st.sampled_from(sorted(CHARTS)),
+        nested_facts(),
+        st.sampled_from(list(MetricId)),
+        st.sampled_from(list(MetricId)),
+        # below the normal range 1 / expm1(t) overflows in the small-ball edge
+        st.floats(0.0, 1e3, allow_subnormal=False),
+    )
+    def test_bound_monotone_in_facts(self, n, facts, frm, to, t):
+        def value(props):
+            res = query(CHARTS[n], frm, to, props, t)
+            return math.inf if res is None else res.value
+
+        fewer, more = facts
+        assert value(more) <= value(fewer)
 
 
 class TestSmallArgumentDecay:
@@ -295,7 +343,7 @@ class TestSmallArgumentDecay:
 
 class TestHigherDimensionChart:
     def test_builds_and_evaluates(self):
-        c3 = builtin_chart(3, cn=0.1)
+        c3 = builtin_chart(3)
         assert c3.dimension == 3
         v = eval_edge(only_edge(c3, K, MU, "connected-boundary-capacity-bound"), ALL_PROPS, 0.3)
         assert 0.0 < v < math.inf
@@ -365,8 +413,17 @@ class TestDomainProps:
             DomainProps(qed_constant=-1.0)
         with pytest.raises(ValueError):
             DomainProps(bounded_with_diam=0.0)
+        # j <= k in every domain forces c_uniform >= 1, and
+        # M(Gamma; G) <= M(Gamma; R^n) forces c_qed <= 1
+        with pytest.raises(ValueError, match="uniform_constant"):
+            DomainProps(uniform_constant=0.5)
+        with pytest.raises(ValueError, match="qed_constant"):
+            DomainProps(qed_constant=4.0)
+        assert DomainProps(uniform_constant=1.0, qed_constant=1.0).qed_constant == 1.0
 
-    @pytest.mark.parametrize("label", ["uniform_constant", "qed_constant", "bounded_with_diam"])
+    @pytest.mark.parametrize(
+        "label", ["uniform_constant", "qed_constant", "cn_constant", "bounded_with_diam"]
+    )
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_constants(self, label, value):
         with pytest.raises(ValueError, match=label):
@@ -379,4 +436,4 @@ class TestDomainProps:
     def test_bad_cn(self):
         for cn in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                builtin_chart(2, cn=cn)
+                DomainProps(cn_constant=cn)
