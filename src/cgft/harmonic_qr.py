@@ -72,6 +72,10 @@ HARMONIC_SCHWARZ_FACTOR = 4.0 / math.pi
 #: and the zeros of a nonconstant harmonic map are isolated.
 SUBHARMONIC_ZERO_EXCLUSION = 1e-8
 
+#: Angular count and radial cap of the closed-disk grids in modulus_profile.
+_PROFILE_ANGLES = 256
+_PROFILE_MAX_RADII = 4001
+
 #: Two samples closer than this count as evidence that a map identifies
 #: two distinct points.
 _COLLISION_TOL = 1e-12
@@ -359,17 +363,12 @@ def poisson_disk_extend(phi: BoundaryFunction1D, M: int) -> HarmonicPlanarMap:
             f"mode cutoff {M} exceeds the Nyquist limit {n // 2} of {n} samples"
         )
     spectrum = np.fft.fft(samples) / n
-    g = np.zeros(M + 1, dtype=complex)
-    h = np.zeros(M + 1, dtype=complex)
-    g[0] = spectrum[0]
-    for m in range(1, M + 1):
-        if 2 * m == n:
-            half = spectrum[m] / 2.0
-            g[m] = half
-            h[m] = np.conjugate(half)
-        else:
-            g[m] = spectrum[m]
-            h[m] = np.conjugate(spectrum[n - m])
+    g = spectrum[: M + 1].copy()
+    h = np.conjugate(spectrum[-np.arange(M + 1)])
+    h[0] = 0.0
+    if 2 * M == n:
+        g[M] /= 2.0
+        h[M] = np.conjugate(g[M])
     return HarmonicPlanarMap(tuple(g), tuple(h))
 
 
@@ -400,82 +399,82 @@ def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
 # moduli of continuity by dense sampling (lower approximations of the sups)
 
 
+def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
+    """sup |F[a] - F[b]| over polar-grid points a, b at most delta apart.
+
+    Row i of ``F`` holds samples at radius ``radii[i]`` and the n_t angles
+    2 pi j / n_t.  The radii must be increasing and equispaced (no gap
+    r_{i+k} - r_i may shrink as i grows), or pairs are silently missed:
+    the scan relies on the distance hypot(r_{i+k} - r_i, 2 sqrt(r_i
+    r_{i+k}) sin(pi lag / n_t)) of (i, j) and (i + k, j + lag) growing
+    with i and lag, so at each radius offset k and lag the rows within
+    delta form a prefix, compared in one array operation.  Offset k = 0
+    takes lags 1..n_t/2, each k >= 1 lags 0..n_t/2 both ways; a k ends at
+    the first lag that keeps no row, the scan at the first k >= 1 with no
+    row at lag 0.  Pairs at exactly delta count: the test carries a
+    cushion of a part in 1e12.
+    """
+    n_r, n_t = F.shape
+    cushion = delta * (1.0 + 1e-12) + 1e-15
+    best = 0.0
+    for k in range(n_r):
+        dr = radii[k:] - radii[: n_r - k]
+        if k and dr[0] > cushion:
+            break
+        chord = 2.0 * np.sqrt(radii[: n_r - k] * radii[k:])
+        rows = n_r - k
+        for lag in range(0 if k else 1, n_t // 2 + 1):
+            far = np.hypot(dr[:rows], chord[:rows] * math.sin(math.pi * lag / n_t)) > cushion
+            if far.any():
+                rows = int(far.argmax())
+                if rows == 0:
+                    break
+            a, b = F[:rows], F[k : k + rows]
+            best = max(best, _lag_gap(a, b, lag), _lag_gap(b, a, lag) if k and lag else 0.0)
+    return best
+
+
+def _lag_gap(a: np.ndarray, b: np.ndarray, lag: int) -> float:
+    """max |a[:, j] - b[:, (j + lag) mod n]|, on views rather than a rolled copy."""
+    n = a.shape[1]
+    gap = float(np.max(np.abs(a[:, : n - lag] - b[:, lag:])))
+    if lag:
+        gap = max(gap, float(np.max(np.abs(a[:, n - lag :] - b[:, :lag]))))
+    return gap
+
+
 def boundary_modulus(phi: BoundaryFunction1D, delta: float) -> float:
-    """sup |phi_i - phi_j| over sample pairs with chordal gap at most delta."""
+    """sup |phi_i - phi_j| over sample pairs with chordal gap at most delta.
+
+    The pairs are those at lag 1..N/2 with chord 2 sin(pi lag / N) within
+    delta, scanned by increasing lag until the chord passes delta.
+    """
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    s = np.asarray(phi.samples, dtype=complex)
-    n = s.size
-    cushion = delta * (1.0 + 1e-12) + 1e-15
-    best = 0.0
-    for lag in range(1, n // 2 + 1):
-        chord = 2.0 * math.sin(math.pi * lag / n)
-        if chord > cushion:
-            break
-        gap = float(np.max(np.abs(np.roll(s, -lag) - s)))
-        if gap > best:
-            best = gap
-    return best
+    return _polar_sup(np.asarray(phi.samples, dtype=complex)[None, :], np.ones(1), delta)
 
 
 def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
     """sup |f(z) - f(w)| over polar-grid pairs of the closed disk within delta.
 
-    ``grid`` is either an integer (used for both axes) or a pair
-    (radial count, angular count).  Pairs are enumerated per radius pair
-    and angular lag, so only pairs that can lie within delta are visited.
+    ``grid`` is an integer (both axes) or a pair (radial count, angular
+    count) of equispaced radii in [0, 1] and angles.  The pairs are every
+    two grid points at most delta apart, scanned by radius offset k = 0,
+    1, ... and within each k by increasing angular lag (1..n_t/2 for
+    k = 0, 0..n_t/2 both ways for k >= 1) until none is left within delta.
     """
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if isinstance(grid, (int, np.integer)):
-        n_r, n_t = int(grid), int(grid)
-    else:
-        n_r, n_t = (int(g) for g in grid)
+    pair = (grid, grid) if isinstance(grid, (int, np.integer)) else grid
+    n_r, n_t = (int(g) for g in pair)
     if n_r < 2 or n_t < 8:
         raise ValueError("grid must provide at least 2 radii and 8 angles")
     radii = np.linspace(0.0, 1.0, n_r)
     angles = np.arange(n_t) * (_TWO_PI / n_t)
     F = f(radii[:, None] * np.exp(1j * angles)[None, :])
-    dtheta = _TWO_PI / n_t
-    cushion = delta * (1.0 + 1e-12) + 1e-15
-    half = n_t // 2
-    best = 0.0
-
-    def _update(row_a: np.ndarray, row_b: np.ndarray, lag: int) -> None:
-        nonlocal best
-        gap = float(np.max(np.abs(row_a - np.roll(row_b, -lag))))
-        if gap > best:
-            best = gap
-
-    for i in range(n_r):
-        ri = radii[i]
-        for ip in range(i, n_r):
-            rp = radii[ip]
-            if rp - ri > cushion:
-                break
-            prod = 2.0 * ri * rp
-            if prod == 0.0:
-                # one point is the center: distance is max(ri, rp) <= cushion
-                lag_max = half
-            else:
-                cstar = (ri * ri + rp * rp - cushion * cushion) / prod
-                if cstar <= -1.0:
-                    lag_max = half
-                elif cstar >= 1.0:
-                    lag_max = 0
-                else:
-                    lag_max = min(half, int(math.acos(cstar) / dtheta))
-            if ip == i:
-                for lag in range(1, lag_max + 1):
-                    _update(F[i], F[i], lag)
-            else:
-                _update(F[i], F[ip], 0)
-                for lag in range(1, lag_max + 1):
-                    _update(F[i], F[ip], lag)
-                    _update(F[ip], F[i], lag)
-    return best
+    return _polar_sup(F, radii, delta)
 
 
 def modulus_profile(
@@ -483,14 +482,12 @@ def modulus_profile(
     deltas: Sequence[float],
     *,
     boundary_N: int = 8192,
-    angular_N: int = 256,
-    max_radial: int = 4001,
 ) -> list[ModulusRow]:
     """Boundary and closed-disk moduli for each delta, on matched grids.
 
-    The radial resolution follows delta (spacing about delta/2, capped at
-    ``max_radial`` radii) so that near-boundary radial pairs at distance
-    delta are present in the grid.
+    The closed-disk grid has 256 angles, and its radial resolution follows
+    delta (spacing about delta/2, capped at 4001 radii) so that
+    near-boundary radial pairs at distance delta are present in the grid.
     """
     phi = boundary_samples_of(f, boundary_N)
     rows = []
@@ -498,9 +495,9 @@ def modulus_profile(
         d = float(d)
         if d <= 0.0:
             raise ValueError("deltas must be positive")
-        n_r = int(min(max_radial, max(21, round(2.0 / d) + 1)))
+        n_r = int(min(_PROFILE_MAX_RADII, max(21, round(2.0 / d) + 1)))
         rows.append(
-            ModulusRow(d, boundary_modulus(phi, d), closed_modulus(f, d, (n_r, angular_N)))
+            ModulusRow(d, boundary_modulus(phi, d), closed_modulus(f, d, (n_r, _PROFILE_ANGLES)))
         )
     return rows
 

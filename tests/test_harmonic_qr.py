@@ -366,6 +366,43 @@ class TestClosedModulus:
             closed_modulus(f, -0.1, (21, 64))
 
 
+def _all_pairs_sup(z: np.ndarray, F: np.ndarray, delta: float) -> float:
+    """sup |F(a) - F(b)| over every pair of points a, b within delta."""
+    z, F = z.ravel(), F.ravel()
+    near = np.abs(z[:, None] - z[None, :]) <= delta * (1.0 + 1e-12) + 1e-15
+    return float(np.max(np.abs(F[:, None] - F[None, :])[near]))
+
+
+def _deltas(rng, z: np.ndarray) -> list[float]:
+    """A log-uniform delta and one that is exactly a grid-pair distance."""
+    gaps = np.abs(z.ravel()[:, None] - z.ravel()[None, :])
+    return [float(10.0 ** rng.uniform(-2.5, 0.4)), float(rng.choice(gaps[gaps > 0]))]
+
+
+class TestModuliMatchAllPairs:
+    """Both moduli visit exactly the grid pairs within delta."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_closed_modulus(self, seed):
+        rng = np.random.default_rng([seed, 11])
+        f = _random_map(rng, degree=int(rng.integers(0, 6)))
+        n_r, n_t = int(rng.integers(2, 12)), int(rng.integers(8, 33))
+        angles = np.arange(n_t) * (2.0 * math.pi / n_t)
+        z = np.linspace(0.0, 1.0, n_r)[:, None] * np.exp(1j * angles)[None, :]
+        for delta in _deltas(rng, z):
+            assert closed_modulus(f, delta, (n_r, n_t)) == _all_pairs_sup(z, f(z), delta)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_boundary_modulus(self, seed):
+        rng = np.random.default_rng([seed, 12])
+        f = _random_map(rng, degree=int(rng.integers(0, 6)))
+        n = 2 ** int(rng.integers(3, 9))
+        z = np.exp(2j * math.pi * np.arange(n) / n)
+        phi = boundary_samples_of(f, n)
+        for delta in _deltas(rng, z):
+            assert boundary_modulus(phi, delta) == _all_pairs_sup(z, f(z), delta)
+
+
 class TestModuliSeparation:
     def test_boundary_lipschitz_but_radial_growth(self):
         f = alternating_cosine_map(256)

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cgft.harmonic_qr import polyline_interior_domain
 from cgft.metrics import (
@@ -35,7 +33,7 @@ from cgft.metrics import (
     seittenranta,
 )
 from cgft.metrics import _grid_shortest_path, _simpson_weights
-from cgft.special_functions import gamma2, mu, tau2, teichmuller_p_circle
+from cgft.special_functions import gamma2, tau2, teichmuller_p_circle
 
 RNG = np.random.default_rng(0)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgft.special_functions import gamma2, omega_sphere, tau2, tau2_inv
+from cgft.special_functions import gamma2, omega_sphere, tau2
 from cgft.transfer_chart import (
     DomainProps,
     MetricId,
