@@ -139,7 +139,7 @@ def lambda_ball_constants(n: int, t: float) -> BallInclusionReport:
     c3_lo, c3_hi = _tau_inv_pair(n, t / math.sqrt(2.0))
     u_lo, u_hi = _tau_inv_pair(n, 2.0 * t)
     c1_lo, c1_hi = 1.0 / (1.0 + c3_hi), 1.0 / (1.0 + c3_lo)
-    c2_lo = math.sqrt(u_lo / (1.0 + u_lo))
+    c2_lo = math.sqrt(u_lo / (1.0 + u_lo)) if math.isfinite(u_lo) else 1.0
     c2_hi = math.sqrt(u_hi / (1.0 + u_hi)) if math.isfinite(u_hi) else 1.0
 
     if n == 2:
@@ -171,24 +171,25 @@ def mu_ball_constants(n: int, t: float) -> BallInclusionReport:
     """Euclidean squeeze of the capacity-metric ball {y : mu(x, y) < t}.
 
     Reports d1 = u/(1+u), d2 = 1/gamma_n_inv(t), d3 = 1/u with
-    u = tau_n_inv(t); the ball contains B(x, d2 d(x)) and sits inside
-    B(x, d3 d(x)), and the constants are best possible for a domain
-    with connected nondegenerate boundary.  The quasihyperbolic outer
-    radius log(1/(1 - d3)) is reported only when t < tau_n(1), which
-    forces d3 < 1.
+    u = tau_n_inv(t), where gamma_n(s) = 2^(n-1) tau_n(s^2 - 1) gives
+    gamma_n_inv(t) = sqrt(1 + tau_n_inv(t / 2^(n-1))); the ball contains
+    B(x, d2 d(x)) and sits inside B(x, d3 d(x)), and the constants are
+    best possible for a domain with connected nondegenerate boundary.
+    The quasihyperbolic outer radius log(1/(1 - d3)) is reported only
+    when t < tau_n(1), which forces d3 < 1.
     """
     n = check_dimension(n)
     if not t > 0:
         raise ValueError("mu_ball_constants needs t > 0")
     u_lo, u_hi = _tau_inv_pair(n, t)
-    d1_lo = u_lo / (1.0 + u_lo)
+    d1_lo = u_lo / (1.0 + u_lo) if math.isfinite(u_lo) else 1.0
     d1_hi = u_hi / (1.0 + u_hi) if math.isfinite(u_hi) else 1.0
     if n == 2:
         d2 = 1.0 / gamma2_inv(t)
         d2_lo = d2_hi = d2
     else:
-        # gamma_n_inv(t) = sqrt(1 + tau_n_inv(t/2)), exactly
-        h_lo, h_hi = _tau_inv_pair(n, 0.5 * t)
+        # gamma_n_inv(t) = sqrt(1 + tau_n_inv(t / 2^(n-1))), exactly
+        h_lo, h_hi = _tau_inv_pair(n, t / 2 ** (n - 1))
         d2_lo = 1.0 / math.sqrt(1.0 + h_hi)
         d2_hi = 1.0 / math.sqrt(1.0 + h_lo)
     d3_lo = 1.0 / u_hi if u_hi > 0.0 else math.inf

@@ -33,13 +33,31 @@ def _fmt(x: float) -> str:
 
 
 def _print_value(value) -> None:
-    if isinstance(value, Interval):
+    """One number, an Interval's two ends, or a dict as "key value" lines."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            print(f"{key} {_fmt(v)}")
+    elif isinstance(value, Interval):
         if value.is_degenerate:
             print(_fmt(value.lo))
         else:
             print(f"{_fmt(value.lo)} {_fmt(value.hi)}")
     else:
         print(_fmt(value))
+
+
+def _prints(compute: Callable) -> Callable:
+    """A handler that prints ``compute(args)`` with ``_print_value``."""
+    return lambda args, parser: _print_value(compute(args))
+
+
+def _leaf(sub, name: str, handler: Callable, *floats: str) -> argparse.ArgumentParser:
+    """A leaf parser routed to ``handler``, with required float flags ``floats``."""
+    p = sub.add_parser(name)
+    p.set_defaults(handler=handler)
+    for flag in floats:
+        p.add_argument(flag, type=float, required=True)
+    return p
 
 
 def _write_csv(path: str | None, header: Sequence[str], rows) -> None:
@@ -85,7 +103,7 @@ _SF_OPS: dict[str, tuple[Callable, tuple[type, ...]]] = {
 }
 
 
-def _cmd_sf(args, parser) -> int:
+def _cmd_sf(args, parser) -> None:
     fn, sig = _SF_OPS[args.fn]
     if len(args.args) != len(sig):
         parser.error(
@@ -93,7 +111,12 @@ def _cmd_sf(args, parser) -> int:
         )
     converted = [conv(tok) for conv, tok in zip(sig, args.args)]
     _print_value(fn(*converted))
-    return 0
+
+
+def _add_sf(p: argparse.ArgumentParser) -> None:
+    p.add_argument("fn", choices=sorted(_SF_OPS))
+    p.add_argument("args", nargs="*")
+    p.set_defaults(handler=_cmd_sf)
 
 
 # ---------------------------------------------------------------------------
@@ -103,38 +126,45 @@ def _cmd_sf(args, parser) -> int:
 _EXACT_QH_KINDS = ("punctured_space", "half_space")
 
 
-def _cmd_metric(args, parser) -> int:
+def _cmd_metric(args, parser) -> None:
     x = tuple(args.x)
     y = tuple(args.y)
     if len(x) != len(y):
         parser.error("--x and --y need the same dimension")
-    n = len(x)
     name = args.metric
     if name == "chordal":
-        _print_value(mt.chordal(x, y))
-        return 0
-    if name == "hyperbolic":
+        value = mt.chordal(x, y)
+    elif name == "hyperbolic":
         if args.domain != "ball":
             parser.error("the hyperbolic metric is implemented on the ball")
-        _print_value(mt.hyperbolic_ball(x, y))
-        return 0
-    if name == "quasihyperbolic":
-        if args.domain in _EXACT_QH_KINDS:
-            _print_value(mt.quasihyperbolic_exact(args.domain, x, y))
-            return 0
-        D = mt.canonical_domain(args.domain, n, boundary_samples=args.boundary_samples)
-        _print_value(mt.quasihyperbolic_numeric(D, x, y, tol=args.tol).value)
-        return 0
-    D = mt.canonical_domain(args.domain, n, boundary_samples=args.boundary_samples)
-    if name == "j":
-        _print_value(mt.j_metric(D, x, y))
-    elif name == "seittenranta":
-        _print_value(mt.seittenranta(D, x, y).value)
-    elif name == "apollonian":
-        _print_value(mt.apollonian(D, x, y).value)
-    else:  # pragma: no cover - argparse choices guard this
-        parser.error(f"unknown metric {name!r}")
-    return 0
+        value = mt.hyperbolic_ball(x, y)
+    elif name == "quasihyperbolic" and args.domain in _EXACT_QH_KINDS:
+        value = mt.quasihyperbolic_exact(args.domain, x, y)
+    else:
+        D = mt.canonical_domain(args.domain, len(x), boundary_samples=args.boundary_samples)
+        if name == "quasihyperbolic":
+            value = mt.quasihyperbolic_numeric(D, x, y, tol=args.tol).value
+        elif name == "j":
+            value = mt.j_metric(D, x, y)
+        elif name == "seittenranta":
+            value = mt.seittenranta(D, x, y).value
+        else:
+            value = mt.apollonian(D, x, y).value
+    _print_value(value)
+
+
+def _add_metric(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--domain", choices=mt.CANONICAL_DOMAIN_NAMES, required=True)
+    p.add_argument(
+        "--metric",
+        choices=("chordal", "j", "seittenranta", "apollonian", "hyperbolic", "quasihyperbolic"),
+        required=True,
+    )
+    p.add_argument("--x", type=float, nargs="+", required=True)
+    p.add_argument("--y", type=float, nargs="+", required=True)
+    p.add_argument("--boundary-samples", type=int, default=128)
+    p.add_argument("--tol", type=float, default=1e-3)
+    p.set_defaults(handler=_cmd_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +186,41 @@ def _props_from_args(args) -> tc.DomainProps:
     )
 
 
-def _cmd_chart(args, parser) -> int:
+def _cmd_chart_query(args, parser) -> None:
     chart = tc.builtin_chart(args.dimension)
-    if args.chart_op == "export":
-        rows = tc.chart_rows(chart)
-        header = ["from", "to", "formula", "window", "requires", "validity", "provenance"]
-        _write_csv(args.csv, header, ([r[k] for k in header] for r in rows))
-        return 0
     frm = tc.MetricId(args.frm)
     to = tc.MetricId(args.to)
     res = tc.query(chart, frm, to, _props_from_args(args), args.t)
     if res is None:
         print("no transfer available under the given domain facts")
-        return 0
+        return
     print(_fmt(res.value))
     print("path: " + " -> ".join(node.value for node in res.nodes))
-    return 0
+
+
+def _cmd_chart_export(args, parser) -> None:
+    rows = tc.chart_rows(tc.builtin_chart(args.dimension))
+    header = ["from", "to", "formula", "window", "requires", "validity", "provenance"]
+    _write_csv(args.csv, header, ([r[k] for k in header] for r in rows))
+
+
+def _add_chart(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="chart_op", required=True)
+    metric_ids = [m.value for m in tc.MetricId]
+    pc = _leaf(sub, "query", _cmd_chart_query)
+    pc.add_argument("--dimension", type=int, default=2)
+    pc.add_argument("--frm", "--from", dest="frm", required=True, choices=metric_ids)
+    pc.add_argument("--to", required=True, choices=metric_ids)
+    pc.add_argument("--t", type=float, required=True)
+    for flag in ("--uniform-c", "--qed-c", "--cn"):
+        pc.add_argument(flag, type=float, default=None)
+    for flag in ("--connected", "--nondegenerate", "--card-ge-2", "--convex"):
+        pc.add_argument(flag, action="store_true")
+    pc.add_argument("--diam", type=float, default=None)
+    pc.add_argument("--local", action="store_true")
+    pc = _leaf(sub, "export", _cmd_chart_export)
+    pc.add_argument("--dimension", type=int, default=2)
+    pc.add_argument("--csv", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -179,42 +228,48 @@ def _cmd_chart(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ball(args, parser) -> int:
-    op = args.ball_op
-    if op == "quasiball":
-        rep = bg.quasiball_radii(args.M)
-        print(f"inner {_fmt(rep.inner_euclid_radius_factor)}")
-        print(f"outer {_fmt(rep.outer_euclid_radius_factor)}")
-    elif op == "circumscribed":
-        _print_value(bg.circumscribed_lambda_radius(args.T))
-    elif op == "mu-constants":
-        rep = bg.mu_ball_constants(args.n, args.t)
-        for key in sorted(rep.aux_constants):
-            print(f"{key} {_fmt(rep.aux_constants[key])}")
-    elif op == "lambda-constants":
-        rep = bg.lambda_ball_constants(args.n, args.t)
-        for key in sorted(rep.aux_constants):
-            print(f"{key} {_fmt(rep.aux_constants[key])}")
-    elif op == "quartic":
-        _print_value(bg.antipodal_quartic(args.r))
-    elif op == "threshold":
-        _print_value(bg.antipodal_threshold())
-    elif op == "joining":
-        _print_value(bg.joining_family_modulus(args.r, args.s))
-    elif op == "separating-inner":
-        _print_value(bg.inner_separating_modulus(args.r))
-    elif op == "separating-outer":
-        _print_value(bg.outer_separating_modulus(args.r, args.s))
-    elif op == "punctured-moduli":
-        moduli = bg.punctured_disk_moduli(args.r, args.s)
-        for key, value in moduli._asdict().items():
-            print(f"{key} {_fmt(value)}")
-    elif op == "irrelevance":
-        if args.delta is None:
-            _print_value(bg.antipodal_irrelevance_radius())
-        else:
-            _print_value(bg.puncture_irrelevance_radius(args.delta))
-    return 0
+def _quasiball(M: float) -> dict[str, float]:
+    rep = bg.quasiball_radii(M)
+    return {"inner": rep.inner_euclid_radius_factor, "outer": rep.outer_euclid_radius_factor}
+
+
+def _sorted_aux(rep: bg.BallInclusionReport) -> dict[str, float]:
+    return dict(sorted(rep.aux_constants.items()))
+
+
+def _add_ball(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="ball_op", required=True)
+    _leaf(sub, "quasiball", _prints(lambda a: _quasiball(a.M)), "--M")
+    _leaf(sub, "circumscribed", _prints(lambda a: bg.circumscribed_lambda_radius(a.T)), "--T")
+    pb = _leaf(sub, "mu-constants", _prints(lambda a: _sorted_aux(bg.mu_ball_constants(a.n, a.t))))
+    pb.add_argument("--n", type=int, default=2)
+    pb.add_argument("--t", type=float, required=True)
+    pb = _leaf(
+        sub, "lambda-constants", _prints(lambda a: _sorted_aux(bg.lambda_ball_constants(a.n, a.t)))
+    )
+    pb.add_argument("--n", type=int, default=2)
+    pb.add_argument("--t", type=float, required=True)
+    _leaf(sub, "quartic", _prints(lambda a: bg.antipodal_quartic(a.r)), "--r")
+    _leaf(sub, "threshold", _prints(lambda a: bg.antipodal_threshold()))
+    _leaf(sub, "joining", _prints(lambda a: bg.joining_family_modulus(a.r, a.s)), "--r", "--s")
+    _leaf(sub, "separating-inner", _prints(lambda a: bg.inner_separating_modulus(a.r)), "--r")
+    _leaf(
+        sub, "separating-outer",
+        _prints(lambda a: bg.outer_separating_modulus(a.r, a.s)), "--r", "--s",
+    )
+    _leaf(
+        sub, "punctured-moduli",
+        _prints(lambda a: bg.punctured_disk_moduli(a.r, a.s)._asdict()), "--r", "--s",
+    )
+    pb = _leaf(
+        sub, "irrelevance",
+        _prints(
+            lambda a: bg.antipodal_irrelevance_radius()
+            if a.delta is None
+            else bg.puncture_irrelevance_radius(a.delta)
+        ),
+    )
+    pb.add_argument("--delta", type=float, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -222,38 +277,56 @@ def _cmd_ball(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_distort(args, parser) -> int:
-    op = args.distort_op
-    if op == "bound":
-        b = ds.distortion_bound(
-            args.quantity,
-            args.n,
-            args.K,
-            absx=args.absx,
-            j_xy=args.j_xy,
-            x=tuple(args.x),
-            eps=args.eps,
-        )
-        _print_value(b.value)
-        print(f"validity: {b.validity}")
-        print(f"bound: {b.provenance}")
-    elif op == "report":
-        report = distortion_inequality_report(args.K, args.n)
-        for entry in report["entries"]:
-            slack = entry["min_slack"]
-            shown = "inapplicable" if slack is None else _fmt(slack)
-            print(f"{entry['check_id']} {shown}")
-    elif op == "eps-to-K":
-        _print_value(ds.eps_to_K(args.eps))
-    elif op == "lens-sqrt":
-        _print_value(ds.lens_diam_bound_sqrt(tuple(args.x), args.eps))
-    elif op == "lens-linear":
-        _print_value(ds.lens_diam_bound_linear(tuple(args.x), args.eps, args.omega))
-    elif op == "lens-brute":
-        _print_value(
-            ds.lens_diam_brute(tuple(args.x), args.eps, args.N, seed=args.seed)
-        )
-    return 0
+def _cmd_distort_bound(args, parser) -> None:
+    b = ds.distortion_bound(
+        args.quantity,
+        args.n,
+        args.K,
+        absx=args.absx,
+        j_xy=args.j_xy,
+        x=tuple(args.x),
+        eps=args.eps,
+    )
+    _print_value(b.value)
+    print(f"validity: {b.validity}")
+    print(f"bound: {b.provenance}")
+
+
+def _cmd_distort_report(args, parser) -> None:
+    report = distortion_inequality_report(args.K, args.n)
+    for entry in report["entries"]:
+        slack = entry["min_slack"]
+        shown = "inapplicable" if slack is None else _fmt(slack)
+        print(f"{entry['check_id']} {shown}")
+
+
+def _add_distort(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="distort_op", required=True)
+    pd = _leaf(sub, "bound", _cmd_distort_bound)
+    pd.add_argument("--quantity", choices=ds.QUANTITY_LABELS, required=True)
+    pd.add_argument("--n", type=int, default=2)
+    pd.add_argument("--K", type=float, required=True)
+    pd.add_argument("--absx", type=float, default=1.0)
+    pd.add_argument("--j-xy", type=float, default=1.0)
+    pd.add_argument("--x", type=float, nargs=2, default=(-1.0, 0.0))
+    pd.add_argument("--eps", type=float, default=0.01)
+    pd = _leaf(sub, "report", _cmd_distort_report)
+    pd.add_argument("--n", type=int, default=2)
+    pd.add_argument("--K", type=float, required=True)
+    _leaf(sub, "eps-to-K", _prints(lambda a: ds.eps_to_K(a.eps)), "--eps")
+
+    def lens(name: str, compute: Callable) -> argparse.ArgumentParser:
+        pd = _leaf(sub, name, _prints(compute))
+        pd.add_argument("--x", type=float, nargs=2, required=True)
+        pd.add_argument("--eps", type=float, required=True)
+        return pd
+
+    lens("lens-sqrt", lambda a: ds.lens_diam_bound_sqrt(tuple(a.x), a.eps))
+    pd = lens("lens-linear", lambda a: ds.lens_diam_bound_linear(tuple(a.x), a.eps, a.omega))
+    pd.add_argument("--omega", type=float, required=True)
+    pd = lens("lens-brute", lambda a: ds.lens_diam_brute(tuple(a.x), a.eps, a.N, seed=a.seed))
+    pd.add_argument("--N", type=int, default=10**4)
+    pd.add_argument("--seed", type=int, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,42 +350,76 @@ def _harmonic_map_from_args(args, parser) -> hq.HarmonicPlanarMap:
     return hq.HarmonicPlanarMap(g, h)
 
 
-def _cmd_harmonic(args, parser) -> int:
-    op = args.harmonic_op
-    if op == "exponent":
-        _print_value(hq.subharmonic_exponent(args.k))
-        return 0
+def _cmd_harmonic_laplacian(args, parser) -> None:
     f = _harmonic_map_from_args(args, parser)
-    if op == "laplacian":
-        z = complex(args.z[0], args.z[1])
-        if args.p is None:
-            _print_value(hq.laplacian_abs_f_sq(f, z))
-        else:
-            _print_value(hq.laplacian_abs_f_p(f, z, args.p))
-    elif op == "scan":
-        if args.p is None:
-            parser.error("harmonic scan needs --p")
-        scan = hq.check_subharmonic(f, args.p, args.grid_radius, args.grid, args.tol)
-        print(f"min {_fmt(scan.min_value)}")
-        print(f"argmin {scan.argmin.real:.17g}{scan.argmin.imag:+.17g}j")
-        print(f"subharmonic {'yes' if scan.subharmonic else 'no'}")
-    elif op == "moduli":
-        deltas = [float(tok) for tok in args.delta_list.split(",") if tok.strip()]
-        rows = hq.modulus_profile(f, deltas, boundary_N=args.boundary_n)
-        _write_csv(
-            args.csv,
-            ["delta", "boundary_modulus", "closed_modulus"],
-            ([r.delta, r.boundary, r.closed] for r in rows),
-        )
-    elif op == "profile":
-        ps = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
-        rows = hq.subharmonic_profile(f, ps, grid_radius=args.grid_radius, grid_N=args.grid)
-        _write_csv(
-            args.csv,
-            ["p", "min_laplacian", "argmin_re", "argmin_im"],
-            ([r.p, r.min_value, r.argmin.real, r.argmin.imag] for r in rows),
-        )
-    return 0
+    z = complex(args.z[0], args.z[1])
+    if args.p is None:
+        _print_value(hq.laplacian_abs_f_sq(f, z))
+    else:
+        _print_value(hq.laplacian_abs_f_p(f, z, args.p))
+
+
+def _cmd_harmonic_scan(args, parser) -> None:
+    f = _harmonic_map_from_args(args, parser)
+    if args.p is None:
+        parser.error("harmonic scan needs --p")
+    scan = hq.check_subharmonic(f, args.p, args.grid_radius, args.grid, args.tol)
+    print(f"min {_fmt(scan.min_value)}")
+    print(f"argmin {scan.argmin.real:.17g}{scan.argmin.imag:+.17g}j")
+    print(f"subharmonic {'yes' if scan.subharmonic else 'no'}")
+
+
+def _cmd_harmonic_moduli(args, parser) -> None:
+    f = _harmonic_map_from_args(args, parser)
+    deltas = [float(tok) for tok in args.delta_list.split(",") if tok.strip()]
+    rows = hq.modulus_profile(f, deltas, boundary_N=args.boundary_n)
+    _write_csv(
+        args.csv,
+        ["delta", "boundary_modulus", "closed_modulus"],
+        ([r.delta, r.boundary, r.closed] for r in rows),
+    )
+
+
+def _cmd_harmonic_profile(args, parser) -> None:
+    f = _harmonic_map_from_args(args, parser)
+    ps = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
+    rows = hq.subharmonic_profile(f, ps, grid_radius=args.grid_radius, grid_N=args.grid)
+    _write_csv(
+        args.csv,
+        ["p", "min_laplacian", "argmin_re", "argmin_im"],
+        ([r.p, r.min_value, r.argmin.real, r.argmin.imag] for r in rows),
+    )
+
+
+def _map_leaf(sub, name: str, handler: Callable) -> argparse.ArgumentParser:
+    """A leaf for an op on one map, given by --k or by --g/--h."""
+    ph = _leaf(sub, name, handler)
+    ph.add_argument("--k", type=float, default=None, help="shear dilatation z + k conj(z)")
+    ph.add_argument("--g", default=None, help="comma-separated analytic coefficients")
+    ph.add_argument("--h", default=None, help="comma-separated co-analytic coefficients")
+    return ph
+
+
+def _add_harmonic(p: argparse.ArgumentParser) -> None:
+    sub = p.add_subparsers(dest="harmonic_op", required=True)
+    _leaf(sub, "exponent", _prints(lambda a: hq.subharmonic_exponent(a.k)), "--k")
+    ph = _map_leaf(sub, "laplacian", _cmd_harmonic_laplacian)
+    ph.add_argument("--z", type=float, nargs=2, required=True)
+    ph.add_argument("--p", type=float, default=None)
+    ph = _map_leaf(sub, "scan", _cmd_harmonic_scan)
+    ph.add_argument("--p", type=float, default=None)
+    ph.add_argument("--grid-radius", type=float, default=0.95)
+    ph.add_argument("--grid", type=int, default=96)
+    ph.add_argument("--tol", type=float, default=1e-9)
+    ph = _map_leaf(sub, "moduli", _cmd_harmonic_moduli)
+    ph.add_argument("--delta-list", required=True)
+    ph.add_argument("--boundary-n", type=int, default=8192)
+    ph.add_argument("--csv", default=None)
+    ph = _map_leaf(sub, "profile", _cmd_harmonic_profile)
+    ph.add_argument("--p-list", required=True)
+    ph.add_argument("--grid-radius", type=float, default=0.95)
+    ph.add_argument("--grid", type=int, default=96)
+    ph.add_argument("--csv", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +454,16 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.all_passed else 1
 
 
+def _add_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--filter", default=None, help="regex on check ids")
+    p.add_argument("--json", default=None, help="write the report as JSON")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cn", type=float, default=None)
+    p.add_argument("--uniform-c", type=float, default=None)
+    p.add_argument("--qed-c", type=float, default=None)
+    p.set_defaults(handler=_cmd_verify)
+
+
 # ---------------------------------------------------------------------------
 # sweep subcommand
 # ---------------------------------------------------------------------------
@@ -376,14 +493,7 @@ def _sweep_registry(args, parser) -> tuple[str, list[str], Callable[[float], lis
     if op == "ball.circumscribed":
         return "T", ["radius"], lambda v: [bg.circumscribed_lambda_radius(v)]
     if op == "ball.quasiball":
-        return (
-            "M",
-            ["inner", "outer"],
-            lambda v: [
-                bg.quasiball_radii(v).inner_euclid_radius_factor,
-                bg.quasiball_radii(v).outer_euclid_radius_factor,
-            ],
-        )
+        return "M", ["inner", "outer"], lambda v: list(_quasiball(v).values())
     if op == "harmonic.exponent":
         return "k", ["q"], lambda v: [hq.subharmonic_exponent(v)]
     if op == "distort.bound":
@@ -398,7 +508,7 @@ def _sweep_registry(args, parser) -> tuple[str, list[str], Callable[[float], lis
     parser.error(f"unknown sweep op {op!r}")
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args, parser) -> None:
     default_param, columns, evaluate = _sweep_registry(args, parser)
     param = args.param or default_param
     if args.steps < 0:
@@ -411,184 +521,67 @@ def _cmd_sweep(args, parser) -> int:
             out = (out + out)[: len(columns)]
         rows.append([v] + out)
     _write_csv(args.csv, [param] + columns, rows)
-    return 0
+
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
+    p.add_argument("op")
+    p.add_argument("--param", default=None, help="column name for the parameter")
+    p.add_argument("--from", dest="frm", type=float, required=True)
+    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--csv", default=None)
+    p.add_argument("--quantity", choices=ds.QUANTITY_LABELS, default="euclid_displacement")
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--absx", type=float, default=1.0)
+    p.set_defaults(handler=_cmd_sweep)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and entry point
 # ---------------------------------------------------------------------------
 
+#: subcommand -> (help text, function that adds its arguments), in help order
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "sf": ("evaluate a special function", _add_sf),
+    "metric": ("evaluate a metric on a canonical domain", _add_metric),
+    "chart": ("query or export the metric transfer chart", _add_chart),
+    "ball": ("ball-inclusion geometry", _add_ball),
+    "distort": ("quasiconformal distortion bounds", _add_distort),
+    "harmonic": ("planar harmonic maps and moduli", _add_harmonic),
+    "verify": ("run the registered check suite", _add_verify),
+    "sweep": ("sweep one parameter of an op into CSV", _add_sweep),
+}
 
-def _add_map_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=float, default=None, help="shear dilatation z + k conj(z)")
-    p.add_argument("--g", default=None, help="comma-separated analytic coefficients")
-    p.add_argument("--h", default=None, help="comma-separated co-analytic coefficients")
 
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser, with arguments only under ``command``.
 
-def build_parser() -> argparse.ArgumentParser:
+    Every subcommand is registered, so top-level help and errors list
+    them all; the other subcommands' parsers stay empty.
+    """
     parser = argparse.ArgumentParser(
         prog="cgft",
         description="Conformal invariants, hyperbolic-type metrics, and distortion bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sf = sub.add_parser("sf", help="evaluate a special function")
-    p_sf.add_argument("fn", choices=sorted(_SF_OPS))
-    p_sf.add_argument("args", nargs="*")
-    p_sf.set_defaults(handler=_cmd_sf)
-
-    p_metric = sub.add_parser("metric", help="evaluate a metric on a canonical domain")
-    p_metric.add_argument("--domain", choices=mt.CANONICAL_DOMAIN_NAMES, required=True)
-    p_metric.add_argument(
-        "--metric",
-        choices=("chordal", "j", "seittenranta", "apollonian", "hyperbolic", "quasihyperbolic"),
-        required=True,
-    )
-    p_metric.add_argument("--x", type=float, nargs="+", required=True)
-    p_metric.add_argument("--y", type=float, nargs="+", required=True)
-    p_metric.add_argument("--boundary-samples", type=int, default=128)
-    p_metric.add_argument("--tol", type=float, default=1e-3)
-    p_metric.set_defaults(handler=_cmd_metric)
-
-    p_chart = sub.add_parser("chart", help="query or export the metric transfer chart")
-    chart_sub = p_chart.add_subparsers(dest="chart_op", required=True)
-    for name in ("query", "export"):
-        pc = chart_sub.add_parser(name)
-        pc.add_argument("--dimension", type=int, default=2)
-        if name == "query":
-            pc.add_argument("--frm", "--from", dest="frm", required=True,
-                            choices=[m.value for m in tc.MetricId])
-            pc.add_argument("--to", required=True, choices=[m.value for m in tc.MetricId])
-            pc.add_argument("--t", type=float, required=True)
-            pc.add_argument("--uniform-c", type=float, default=None)
-            pc.add_argument("--qed-c", type=float, default=None)
-            pc.add_argument("--cn", type=float, default=None)
-            pc.add_argument("--connected", action="store_true")
-            pc.add_argument("--nondegenerate", action="store_true")
-            pc.add_argument("--card-ge-2", action="store_true")
-            pc.add_argument("--convex", action="store_true")
-            pc.add_argument("--diam", type=float, default=None)
-            pc.add_argument("--local", action="store_true")
-        else:
-            pc.add_argument("--csv", default=None)
-        pc.set_defaults(handler=_cmd_chart)
-
-    p_ball = sub.add_parser("ball", help="ball-inclusion geometry")
-    ball_sub = p_ball.add_subparsers(dest="ball_op", required=True)
-    pb = ball_sub.add_parser("quasiball")
-    pb.add_argument("--M", type=float, required=True)
-    pb = ball_sub.add_parser("circumscribed")
-    pb.add_argument("--T", type=float, required=True)
-    for name in ("mu-constants", "lambda-constants"):
-        pb = ball_sub.add_parser(name)
-        pb.add_argument("--n", type=int, default=2)
-        pb.add_argument("--t", type=float, required=True)
-    pb = ball_sub.add_parser("quartic")
-    pb.add_argument("--r", type=float, required=True)
-    ball_sub.add_parser("threshold")
-    pb = ball_sub.add_parser("joining")
-    pb.add_argument("--r", type=float, required=True)
-    pb.add_argument("--s", type=float, required=True)
-    pb = ball_sub.add_parser("separating-inner")
-    pb.add_argument("--r", type=float, required=True)
-    pb = ball_sub.add_parser("separating-outer")
-    pb.add_argument("--r", type=float, required=True)
-    pb.add_argument("--s", type=float, required=True)
-    pb = ball_sub.add_parser("punctured-moduli")
-    pb.add_argument("--r", type=float, required=True)
-    pb.add_argument("--s", type=float, required=True)
-    pb = ball_sub.add_parser("irrelevance")
-    pb.add_argument("--delta", type=float, default=None)
-    p_ball.set_defaults(handler=_cmd_ball)
-
-    p_distort = sub.add_parser("distort", help="quasiconformal distortion bounds")
-    distort_sub = p_distort.add_subparsers(dest="distort_op", required=True)
-    pd = distort_sub.add_parser("bound")
-    pd.add_argument("--quantity", choices=ds.QUANTITY_LABELS, required=True)
-    pd.add_argument("--n", type=int, default=2)
-    pd.add_argument("--K", type=float, required=True)
-    pd.add_argument("--absx", type=float, default=1.0)
-    pd.add_argument("--j-xy", type=float, default=1.0)
-    pd.add_argument("--x", type=float, nargs=2, default=(-1.0, 0.0))
-    pd.add_argument("--eps", type=float, default=0.01)
-    pd = distort_sub.add_parser("report")
-    pd.add_argument("--n", type=int, default=2)
-    pd.add_argument("--K", type=float, required=True)
-    pd = distort_sub.add_parser("eps-to-K")
-    pd.add_argument("--eps", type=float, required=True)
-    pd = distort_sub.add_parser("lens-sqrt")
-    pd.add_argument("--x", type=float, nargs=2, required=True)
-    pd.add_argument("--eps", type=float, required=True)
-    pd = distort_sub.add_parser("lens-linear")
-    pd.add_argument("--x", type=float, nargs=2, required=True)
-    pd.add_argument("--eps", type=float, required=True)
-    pd.add_argument("--omega", type=float, required=True)
-    pd = distort_sub.add_parser("lens-brute")
-    pd.add_argument("--x", type=float, nargs=2, required=True)
-    pd.add_argument("--eps", type=float, required=True)
-    pd.add_argument("--N", type=int, default=10**4)
-    pd.add_argument("--seed", type=int, default=0)
-    p_distort.set_defaults(handler=_cmd_distort)
-
-    p_harm = sub.add_parser("harmonic", help="planar harmonic maps and moduli")
-    harm_sub = p_harm.add_subparsers(dest="harmonic_op", required=True)
-    ph = harm_sub.add_parser("exponent")
-    ph.add_argument("--k", type=float, required=True)
-    ph = harm_sub.add_parser("laplacian")
-    _add_map_flags(ph)
-    ph.add_argument("--z", type=float, nargs=2, required=True)
-    ph.add_argument("--p", type=float, default=None)
-    ph = harm_sub.add_parser("scan")
-    _add_map_flags(ph)
-    ph.add_argument("--p", type=float, default=None)
-    ph.add_argument("--grid-radius", type=float, default=0.95)
-    ph.add_argument("--grid", type=int, default=96)
-    ph.add_argument("--tol", type=float, default=1e-9)
-    ph = harm_sub.add_parser("moduli")
-    _add_map_flags(ph)
-    ph.add_argument("--delta-list", required=True)
-    ph.add_argument("--boundary-n", type=int, default=8192)
-    ph.add_argument("--csv", default=None)
-    ph = harm_sub.add_parser("profile")
-    _add_map_flags(ph)
-    ph.add_argument("--p-list", required=True)
-    ph.add_argument("--grid-radius", type=float, default=0.95)
-    ph.add_argument("--grid", type=int, default=96)
-    ph.add_argument("--csv", default=None)
-    p_harm.set_defaults(handler=_cmd_harmonic)
-
-    p_verify = sub.add_parser("verify", help="run the registered check suite")
-    p_verify.add_argument("--filter", default=None, help="regex on check ids")
-    p_verify.add_argument("--json", default=None, help="write the report as JSON")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cn", type=float, default=None)
-    p_verify.add_argument("--uniform-c", type=float, default=None)
-    p_verify.add_argument("--qed-c", type=float, default=None)
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter of an op into CSV")
-    p_sweep.add_argument("op")
-    p_sweep.add_argument("--param", default=None, help="column name for the parameter")
-    p_sweep.add_argument("--from", dest="frm", type=float, required=True)
-    p_sweep.add_argument("--to", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--csv", default=None)
-    p_sweep.add_argument("--quantity", choices=ds.QUANTITY_LABELS, default="euclid_displacement")
-    p_sweep.add_argument("--n", type=int, default=2)
-    p_sweep.add_argument("--absx", type=float, default=1.0)
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
+    for name, (help_text, add) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add(p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args, parser)
+        # a handler returns its exit code, or None on success
+        return args.handler(args, parser) or 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except OSError as exc:

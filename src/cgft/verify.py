@@ -55,6 +55,12 @@ class VerifyConfig:
     uniform_c: float | None = None
     qed_c: float | None = None
 
+    def __post_init__(self) -> None:
+        # refuse a constant no domain can have, by the rules DomainProps applies
+        tc.DomainProps(
+            uniform_constant=self.uniform_c, qed_constant=self.qed_c, cn_constant=self.cn
+        )
+
 
 @dataclass(frozen=True)
 class VerifyEntry:

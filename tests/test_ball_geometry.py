@@ -22,6 +22,7 @@ from cgft.ball_geometry import (
 from cgft.metrics import quasihyperbolic_exact
 from cgft.special_functions import (
     gamma2,
+    gamma_n_bounds,
     mu_inv,
     tau2,
     tau2_inv,
@@ -149,6 +150,28 @@ class TestMuBallConstants:
         assert aux["d1_lo"] <= aux["d1_hi"]
         assert aux["d2_lo"] <= aux["d2_hi"]
         assert aux["d3_lo"] <= aux["d3_hi"]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_d2_encloses_reciprocal_at_gamma_n(self, n):
+        # gamma_n(s) = 2^(n-1) tau_n(s^2 - 1), so at t = gamma_n(s) the
+        # factor d2 = 1/gamma_n_inv(t) is 1/s
+        for s in (1.05, 1.5, 2.0, 3.0, 10.0, 100.0):
+            aux = mu_ball_constants(n, gamma_n_bounds(n, s).hi).aux_constants
+            assert aux["d2_lo"] <= (1.0 + 1e-12) / s
+            assert 1.0 / s <= aux["d2_hi"] * (1.0 + 1e-12)
+
+
+class TestBallConstantsAnyT:
+    def test_raise_nowhere(self):
+        # small t sends tau_n_inv to +inf, where d1 and c2 reach their limit 1
+        for n in (2, 3, 4):
+            for t in np.logspace(-12, 3, 400):
+                mu_ball_constants(n, float(t))
+                lambda_ball_constants(n, float(t))
+
+    def test_limit_at_small_t(self):
+        assert mu_ball_constants(2, 0.005).aux_constants["d1"] == 1.0
+        assert lambda_ball_constants(2, 0.004).aux_constants["c2"] == 1.0
 
 
 class TestCircumscribedRadius:

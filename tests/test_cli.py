@@ -227,6 +227,12 @@ class TestBallCommand:
         r = float(out)
         assert abs(r**3 + r**2 - 1) <= 1e-12
 
+    def test_mu_constants_at_small_t(self, capsys):
+        # tau2_inv(0.005) is +inf, so d1 takes its limit 1
+        code, out, _ = run_cli(capsys, "ball", "mu-constants", "--n", "2", "--t", "0.005")
+        assert code == 0
+        assert "d1 1\n" in out
+
 
 class TestDistortCommand:
     def test_bound_prints_value_and_labels(self, capsys):
@@ -423,14 +429,18 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(capsys, "verify", "--filter", "power-chain|spot|quartic")
         assert out1 == out2
 
-    def test_json_report_is_strict_json(self, tmp_path, capsys):
-        # uniform_c = inf makes the growth-constant check report a NaN slack
-        path = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            capsys,
-            "verify", "--filter", "^uniform-domain-growth-constant$",
-            "--uniform-c", "inf", "--json", str(path),
+    def test_json_report_is_strict_json(self, tmp_path, capsys, monkeypatch):
+        # a check that raises reports a NaN slack
+        from cgft import verify
+
+        def raises(cfg, t):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(
+            verify, "_REGISTRY", [verify._Check("raises", "synthetic", "one point", 0.0, (), raises)]
         )
+        path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "--json", str(path))
         assert code == 1
 
         def refuse(token):
@@ -440,6 +450,14 @@ class TestVerifyCommand:
         (entry,) = obj["entries"]
         assert entry["min_slack"] is None
         assert entry["passed"] is False
+
+    @pytest.mark.parametrize(
+        "flag", [["--uniform-c", "inf"], ["--uniform-c", "0.5"], ["--qed-c", "4"], ["--cn", "0"]]
+    )
+    def test_impossible_constant_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
 
 class TestSweepCommand:
@@ -525,3 +543,28 @@ class TestTopLevel:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "verify" in out and "sweep" in out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "sf", "metric", "verify", "sweep",
+            "chart query", "chart export",
+            "ball quasiball", "ball circumscribed", "ball mu-constants",
+            "ball lambda-constants", "ball quartic", "ball threshold", "ball joining",
+            "ball separating-inner", "ball separating-outer", "ball punctured-moduli",
+            "ball irrelevance",
+            "distort bound", "distort report", "distort eps-to-K", "distort lens-sqrt",
+            "distort lens-linear", "distort lens-brute",
+            "harmonic exponent", "harmonic laplacian", "harmonic scan",
+            "harmonic moduli", "harmonic profile",
+        ],
+    )
+    def test_every_command_has_help(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split(), "-h")
+        assert code == 0
+        assert out.startswith(f"usage: cgft {command} ")
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["cgft", "sf", "mu", "0.5"])
+        assert main() == 0
+        assert float(capsys.readouterr().out) == pytest.approx(mu(0.5), rel=1e-15)

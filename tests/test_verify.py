@@ -186,13 +186,10 @@ class TestVerdicts:
         (e,) = run_verify("^capacity-distance-ratio-constant$", cfg).entries
         assert e.passed and e.min_slack == 0.0
 
-    def test_infinite_uniform_constant_fails_its_check(self):
-        # DomainProps refuses uniform_c = inf, so the check raises and fails
-        cfg = VerifyConfig(uniform_c=math.inf)
-        (e,) = run_verify("^uniform-domain-growth-constant$", cfg).entries
-        assert not e.passed
-        assert math.isnan(e.min_slack)
-        assert e.note != SKIP_NOTE
+    def test_infinite_uniform_constant_is_refused(self):
+        # the config applies DomainProps' rules, so no check sees uniform_c = inf
+        with pytest.raises(ValueError, match="uniform_constant"):
+            VerifyConfig(uniform_c=math.inf)
 
     def test_sandwich_passes_for_every_seed(self):
         # the feet of x and y make the sampled supremum reach j exactly, so
