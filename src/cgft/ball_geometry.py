@@ -13,6 +13,7 @@ their comparisons flip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -189,14 +190,20 @@ def mu_ball_constants(n: int, t: float) -> BallInclusionReport:
         d2_lo = d2_hi = d2
     else:
         # gamma_n_inv(t) = sqrt(1 + tau_n_inv(t / 2^(n-1))), exactly
-        h_lo, h_hi = _tau_inv_pair(n, t / 2 ** (n - 1))
+        # below the double range when t / 2^(n-1) underflows to 0
+        y = t / 2 ** (n - 1)
+        h_lo, h_hi = _tau_inv_pair(n, y) if y > 0.0 else (math.inf, math.inf)
         d2_lo = 1.0 / math.sqrt(1.0 + h_hi)
         d2_hi = 1.0 / math.sqrt(1.0 + h_lo)
     d3_lo = 1.0 / u_hi if u_hi > 0.0 else math.inf
     d3_hi = 1.0 / u_lo if u_lo > 0.0 else math.inf
+    if d3_hi == 0.0:
+        # u_lo overflowed to +inf: 1/u is positive but below the double
+        # range, and this bounds it from above for every u > DBL_MAX
+        d3_hi = math.nextafter(1.0 / sys.float_info.max, math.inf)
 
     if n == 2:
-        aux = {"d1": d1_lo, "d2": d2_lo, "d3": d3_lo}
+        aux = {"d1": d1_lo, "d2": d2_lo, "d3": d3_hi}
     else:
         aux = {
             "d1_lo": d1_lo, "d1_hi": d1_hi,

@@ -8,6 +8,14 @@ from boundary samples on the disk and from Lipschitz data on the 2-sphere,
 estimates boundary and closed-disk moduli of continuity by dense sampling,
 and measures quasihyperbolic bilipschitz ratios against a sampled image
 domain.
+
+Maps are evaluated at arbitrary points by Horner (``HarmonicPlanarMap
+.__call__``) and on polar grids by aliasing (``on_polar_grid``): at the
+n_t-th roots of unity w^j, sum_m c_m r^m w^(mj) equals sum_{k < n_t}
+(sum_{m = k mod n_t} c_m r^m) w^(kj), so the coefficients are folded by
+m mod n_t and one inverse FFT per radius gives every angle.  The identity
+is exact for polynomials, at any n_t, and the moduli of continuity scan
+grid values computed this way.
 """
 
 from __future__ import annotations
@@ -161,6 +169,49 @@ class HarmonicPlanarMap:
 
     def __call__(self, z):
         return self.g(z) + np.conjugate(self.h(z))
+
+    def on_polar_grid(self, radii, n_t: int) -> np.ndarray:
+        """The (len(radii), n_t) array f(r_i w^j), w = exp(2 pi i / n_t).
+
+        On a circle sampled at the n_t-th roots of unity a power series
+        aliases exactly: sum_m c_m r^m w^(mj) = sum_{k < n_t} C_k(r) w^(kj)
+        with C_k(r) = sum_{m = k mod n_t} c_m r^m.  So g and h are folded by
+        m mod n_t, the folded h is conjugated and reflected (conj(w^(kj)) =
+        w^(-kj)), and one unnormalized inverse FFT per radius sums the
+        modes.  This holds for any n_t >= 1, including n_t at or below the
+        degree.  It costs O(n_r (M + 1) + n_r n_t log n_t) for degree M,
+        against O(n_r n_t (M + 1)) for pointwise Horner.
+        """
+        n_t = int(n_t)
+        if n_t < 1:
+            raise ValueError("n_t must be at least 1")
+        radii = np.asarray(radii, dtype=float).ravel()
+        modes = _fold(self.g_coeffs, radii, n_t)
+        anti = _fold(self.h_coeffs, radii, n_t)
+        np.conjugate(anti, out=anti)
+        modes[:, 0] += anti[:, 0]
+        modes[:, 1:] += anti[:, :0:-1]
+        return np.fft.ifft(modes, axis=1, norm="forward")
+
+
+def _fold(coeffs: tuple[complex, ...], radii: np.ndarray, n_t: int) -> np.ndarray:
+    """C[i, k] = sum_{m = k mod n_t} c_m radii[i]^m, as r^k P_k(r^n_t).
+
+    P_k has the coefficient blocks c_{k + q n_t}, q = 0, 1, ..., taken by
+    Horner in s = r^n_t over whole rows, so no power r^m beyond m = n_t is
+    ever formed.
+    """
+    blocks = -(-len(coeffs) // n_t)
+    c = np.zeros(blocks * n_t, dtype=complex)
+    c[: len(coeffs)] = coeffs
+    c = c.reshape(blocks, n_t)
+    s = (radii**n_t)[:, None]
+    acc = np.tile(c[-1], (radii.size, 1))
+    for q in range(blocks - 2, -1, -1):
+        acc *= s
+        acc += c[q]
+    acc *= radii[:, None] ** np.arange(n_t)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -373,9 +424,13 @@ def poisson_disk_extend(phi: BoundaryFunction1D, M: int) -> HarmonicPlanarMap:
 
 
 def boundary_samples_of(f: HarmonicPlanarMap, n: int) -> BoundaryFunction1D:
-    """Samples of f on the unit circle at n equispaced angles."""
-    pts = np.exp(2j * math.pi * np.arange(int(n)) / int(n))
-    return BoundaryFunction1D(tuple(f(pts)))
+    """Samples of f on the unit circle at the n-th roots of unity.
+
+    They come from ``f.on_polar_grid([1.0], n)``: the coefficients folded
+    by m mod n and one inverse FFT, exact for a polynomial at the roots of
+    unity whatever the degree.
+    """
+    return BoundaryFunction1D(tuple(f.on_polar_grid([1.0], n)[0]))
 
 
 def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
@@ -463,6 +518,9 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
     two grid points at most delta apart, scanned by radius offset k = 0,
     1, ... and within each k by increasing angular lag (1..n_t/2 for
     k = 0, 0..n_t/2 both ways for k >= 1) until none is left within delta.
+    The grid values come from ``f.on_polar_grid``: per radius, the
+    coefficients r^m c_m folded by m mod n_t and one inverse FFT, which is
+    exact for a polynomial at the n_t-th roots of unity.
     """
     delta = float(delta)
     if delta <= 0.0:
@@ -472,9 +530,7 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
     if n_r < 2 or n_t < 8:
         raise ValueError("grid must provide at least 2 radii and 8 angles")
     radii = np.linspace(0.0, 1.0, n_r)
-    angles = np.arange(n_t) * (_TWO_PI / n_t)
-    F = f(radii[:, None] * np.exp(1j * angles)[None, :])
-    return _polar_sup(F, radii, delta)
+    return _polar_sup(f.on_polar_grid(radii, n_t), radii, delta)
 
 
 def modulus_profile(

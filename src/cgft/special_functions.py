@@ -209,8 +209,10 @@ def gamma2_inv(y: float) -> float:
     """Inverse of gamma2 on (0, oo); s = 1 / mu_inv(2 pi / y)."""
     if not 0 < y < math.inf:
         raise ValueError("gamma2_inv needs finite y > 0")
-    r = mu_inv(2.0 * math.pi / y)
-    # mu_inv underflows to 0 when the true preimage exceeds float range
+    x = 2.0 * math.pi / y
+    # mu_inv underflows to 0 when the true preimage exceeds float range;
+    # x overflows for y below 2 pi / DBL_MAX, where it exceeds it as well
+    r = mu_inv(x) if x < math.inf else 0.0
     return 1.0 / r if r > 0.0 else math.inf
 
 

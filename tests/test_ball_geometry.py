@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cgft.ball_geometry import (
     BallInclusionReport,
@@ -172,6 +174,26 @@ class TestBallConstantsAnyT:
     def test_limit_at_small_t(self):
         assert mu_ball_constants(2, 0.005).aux_constants["d1"] == 1.0
         assert lambda_ball_constants(2, 0.004).aux_constants["c2"] == 1.0
+
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_outer_factor_positive(self, n, t):
+        # d3 = 1/tau_n_inv(t) is positive for every t > 0, also where
+        # tau_n_inv overflows and 1/u falls below the double range
+        rep = mu_ball_constants(n, t)
+        assert rep.outer_euclid_radius_factor > 0.0
+        assert rep.outer_euclid_radius_factor >= rep.inner_euclid_radius_factor
+        k = rep.aux_constants.get("k_radius_outer")
+        assert k is None or k > 0.0
+
+    def test_outer_factor_beyond_double_range(self):
+        tiny = math.nextafter(1.0 / sys.float_info.max, math.inf)
+        for n, t in ((2, 0.005), (3, 1e-6), (4, 1e-9)):
+            rep = mu_ball_constants(n, t)
+            assert rep.outer_euclid_radius_factor == tiny
+            assert rep.aux_constants["k_radius_outer"] == tiny
 
 
 class TestCircumscribedRadius:

@@ -233,6 +233,15 @@ class TestBallCommand:
         assert code == 0
         assert "d1 1\n" in out
 
+    def test_mu_constants_outer_factor_positive_at_small_t(self, capsys):
+        # 1/u underflows for u = tau2_inv(0.005) = +inf; the outer factor
+        # reports the upper bound 1/DBL_MAX rounded up, not 0
+        code, out, _ = run_cli(capsys, "ball", "mu-constants", "--n", "2", "--t", "0.005")
+        assert code == 0
+        values = dict(line.split() for line in out.splitlines())
+        assert float(values["d3"]) > 0.0
+        assert float(values["k_radius_outer"]) > 0.0
+
 
 class TestDistortCommand:
     def test_bound_prints_value_and_labels(self, capsys):

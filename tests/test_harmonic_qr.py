@@ -379,6 +379,55 @@ def _deltas(rng, z: np.ndarray) -> list[float]:
     return [float(10.0 ** rng.uniform(-2.5, 0.4)), float(rng.choice(gaps[gaps > 0]))]
 
 
+class TestOnPolarGrid:
+    """The folded-FFT grid values agree with pointwise Horner."""
+
+    @staticmethod
+    def _assert_agrees(f, radii, n_t):
+        angles = np.arange(n_t) * (2.0 * math.pi / n_t)
+        z = np.asarray(radii)[:, None] * np.exp(1j * angles)[None, :]
+        got = f.on_polar_grid(radii, n_t)
+        assert got.shape == z.shape
+        # Horner's own error at the rounded roots of unity grows with the
+        # degree; the fold is exact up to the FFT's rounding
+        scale = 1.0 + np.sum(np.abs(f.g_coeffs)) + np.sum(np.abs(f.h_coeffs))
+        assert np.max(np.abs(got - f(z))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_maps_and_grids(self, seed):
+        rng = np.random.default_rng([seed, 13])
+        # degrees 0-3000 and n_t 8-300, so most grids fold several blocks
+        f = _random_map(rng, degree=int(rng.integers(0, 3001)))
+        n_t = int(rng.integers(8, 301))
+        radii = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 4)])
+        self._assert_agrees(f, radii, n_t)
+
+    @pytest.mark.parametrize(
+        "degree, n_t", [(0, 8), (7, 8), (8, 8), (9, 8), (300, 17), (3000, 255), (2048, 256)]
+    )
+    def test_wraps_at_and_below_the_degree(self, degree, n_t):
+        f = _random_map(np.random.default_rng([degree, n_t]), degree=degree)
+        self._assert_agrees(f, np.linspace(0.0, 1.0, 11), n_t)
+
+    def test_unequal_lengths_of_g_and_h(self):
+        f = HarmonicPlanarMap((0.5, -1.0, 0.25j, 2.0, 0.0, 1.0), (0.0, 0.75j))
+        self._assert_agrees(f, np.array([0.0, 0.3, 1.0]), 3)
+
+    def test_constant_map(self):
+        f = HarmonicPlanarMap((1.5 - 2j,), (0.25j,))
+        got = f.on_polar_grid([0.0, 0.5, 1.0], 12)
+        assert np.all(got == 1.5 - 2.25j)
+
+    def test_boundary_samples_are_the_unit_row(self):
+        f = alternating_cosine_map(100)
+        phi = boundary_samples_of(f, 64)
+        assert phi.samples == tuple(f.on_polar_grid([1.0], 64)[0])
+
+    def test_n_t_validated(self):
+        with pytest.raises(ValueError):
+            HarmonicPlanarMap.shear(0.5).on_polar_grid([0.5], 0)
+
+
 class TestModuliMatchAllPairs:
     """Both moduli visit exactly the grid pairs within delta."""
 
@@ -388,9 +437,11 @@ class TestModuliMatchAllPairs:
         f = _random_map(rng, degree=int(rng.integers(0, 6)))
         n_r, n_t = int(rng.integers(2, 12)), int(rng.integers(8, 33))
         angles = np.arange(n_t) * (2.0 * math.pi / n_t)
-        z = np.linspace(0.0, 1.0, n_r)[:, None] * np.exp(1j * angles)[None, :]
+        radii = np.linspace(0.0, 1.0, n_r)
+        z = radii[:, None] * np.exp(1j * angles)[None, :]
+        F = f.on_polar_grid(radii, n_t)
         for delta in _deltas(rng, z):
-            assert closed_modulus(f, delta, (n_r, n_t)) == _all_pairs_sup(z, f(z), delta)
+            assert closed_modulus(f, delta, (n_r, n_t)) == _all_pairs_sup(z, F, delta)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_boundary_modulus(self, seed):
@@ -399,8 +450,9 @@ class TestModuliMatchAllPairs:
         n = 2 ** int(rng.integers(3, 9))
         z = np.exp(2j * math.pi * np.arange(n) / n)
         phi = boundary_samples_of(f, n)
+        F = np.asarray(phi.samples)
         for delta in _deltas(rng, z):
-            assert boundary_modulus(phi, delta) == _all_pairs_sup(z, f(z), delta)
+            assert boundary_modulus(phi, delta) == _all_pairs_sup(z, F, delta)
 
 
 class TestModuliSeparation:
