@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from ._roots import bisect_monotone
 from .special_functions import (
@@ -96,6 +96,18 @@ def _tau_inv_pair(n: int, y: float) -> tuple[float, float]:
     return iv.lo, iv.hi
 
 
+def _falling_hi(f: Callable[[float], float], lo: float) -> float:
+    """Upper end f(lo) of a decreasing f at the lower end lo of its argument.
+
+    Where lo overflowed to +inf the argument exceeds DBL_MAX, so its value
+    lies below f(DBL_MAX); that, rounded up, bounds it from above and stays
+    positive where f(inf) reads 0.
+    """
+    if lo == math.inf:
+        return math.nextafter(f(sys.float_info.max), math.inf)
+    return f(lo)
+
+
 def _tau_at_one(n: int) -> tuple[float, float]:
     """Enclosure ends of the ring capacity at argument 1."""
     if n == 2:
@@ -138,8 +150,13 @@ def lambda_ball_constants(n: int, t: float) -> BallInclusionReport:
     if not t > 0:
         raise ValueError("lambda_ball_constants needs t > 0")
     c3_lo, c3_hi = _tau_inv_pair(n, t / math.sqrt(2.0))
-    u_lo, u_hi = _tau_inv_pair(n, 2.0 * t)
-    c1_lo, c1_hi = 1.0 / (1.0 + c3_hi), 1.0 / (1.0 + c3_lo)
+    if 2.0 * t < math.inf:
+        u_lo, u_hi = _tau_inv_pair(n, 2.0 * t)
+    else:
+        # 2 t overflows: tau_n_inv falls, so 0 < u <= tau_n_inv(DBL_MAX)
+        u_lo, u_hi = 0.0, _tau_inv_pair(n, sys.float_info.max)[1]
+    c1_lo = 1.0 / (1.0 + c3_hi)
+    c1_hi = _falling_hi(lambda c: 1.0 / (1.0 + c), c3_lo)
     c2_lo = math.sqrt(u_lo / (1.0 + u_lo)) if math.isfinite(u_lo) else 1.0
     c2_hi = math.sqrt(u_hi / (1.0 + u_hi)) if math.isfinite(u_hi) else 1.0
 
@@ -194,13 +211,9 @@ def mu_ball_constants(n: int, t: float) -> BallInclusionReport:
         y = t / 2 ** (n - 1)
         h_lo, h_hi = _tau_inv_pair(n, y) if y > 0.0 else (math.inf, math.inf)
         d2_lo = 1.0 / math.sqrt(1.0 + h_hi)
-        d2_hi = 1.0 / math.sqrt(1.0 + h_lo)
+        d2_hi = _falling_hi(lambda h: 1.0 / math.sqrt(1.0 + h), h_lo)
     d3_lo = 1.0 / u_hi if u_hi > 0.0 else math.inf
-    d3_hi = 1.0 / u_lo if u_lo > 0.0 else math.inf
-    if d3_hi == 0.0:
-        # u_lo overflowed to +inf: 1/u is positive but below the double
-        # range, and this bounds it from above for every u > DBL_MAX
-        d3_hi = math.nextafter(1.0 / sys.float_info.max, math.inf)
+    d3_hi = _falling_hi(lambda u: 1.0 / u if u > 0.0 else math.inf, u_lo)
 
     if n == 2:
         aux = {"d1": d1_lo, "d2": d2_lo, "d3": d3_hi}

@@ -327,6 +327,7 @@ def _add_distort(p: argparse.ArgumentParser) -> None:
     pd = lens("lens-brute", lambda a: ds.lens_diam_brute(tuple(a.x), a.eps, a.N, seed=a.seed))
     pd.add_argument("--N", type=int, default=10**4)
     pd.add_argument("--seed", type=int, default=0)
+    lens("lens-exact", lambda a: ds.lens_diam_exact(tuple(a.x), a.eps))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ enclosure for n >= 3 come back as ``Interval``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import sys
 from typing import Sequence
@@ -56,6 +57,7 @@ __all__ = [
     "lens_diam_bound_linear",
     "lens_diam_bound_sqrt",
     "lens_diam_brute",
+    "lens_diam_exact",
     "lens_window",
     "radial_stretch_delta",
     "tangent_domination_endpoint",
@@ -363,6 +365,8 @@ def _planar_point(x: complex | Sequence[float]) -> tuple[float, float]:
 
 def _lens_radii(x: complex | Sequence[float]) -> tuple[float, float, float, float]:
     px, py = _planar_point(x)
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError("the lens construction needs a finite x")
     r1 = math.hypot(px, py)
     r2 = math.hypot(px - 1.0, py)
     if r1 == 0.0 or r2 == 0.0:
@@ -497,6 +501,8 @@ def lens_diam_brute(
     widths 2 eps) and returns the maximum pairwise distance, computed via
     the convex hull.  Deterministic for a fixed seed.  If the region
     yields no points after 100 N proposals the diameter is reported as 0.
+    ``lens_diam_exact`` is the exact counterpart; this estimate is a
+    witness that stays below it up to rounding.
     """
     if N < 10**4:
         raise ValueError("lens_diam_brute needs N >= 10^4 samples")
@@ -528,6 +534,67 @@ def lens_diam_brute(
     hull = _convex_hull(np.concatenate(accepted))
     diff = hull[:, None, :] - hull[None, :, :]
     return float(np.sqrt((diff**2).sum(axis=-1)).max())
+
+
+def lens_diam_exact(x: complex | Sequence[float], eps: float) -> float:
+    """Diameter of the lens set around x, the set ``lens_diam_brute`` samples:
+    {p : |p| in [r1 - eps, r1 + eps], |p - e1| in [r2 - eps, r2 + eps]}.
+
+    A farthest pair lies on extreme points of the set: corners, or interior
+    points of the two outer arcs (an inner arc is concave, so its interior
+    points are never extreme).  At a stationary pair, each point inside an
+    arc is collinear with that arc's centre and the other point.  So the
+    diameter is the largest distance among these candidates:
+
+    * corners: every real intersection of a circle about 0 with one about
+      e1, each of which lies in the set (a radius r - eps <= 0 means that
+      inner circle is absent);
+    * axis points c +- R of each outer circle (centre c, radius R), when in
+      the set: a pair inside arcs about both centres lies on the real axis;
+    * far points c + R (c - p)/|c - p| of each corner or axis point p on
+      each outer circle, when in the set.
+
+    On an outer circle p = c + R d e^(i theta), with d = +-1 pointing to the
+    other centre, the distance to that centre is sqrt(R^2 + 1 - 2 R cos
+    theta), monotone in |theta|, so membership is one window lo <= cos theta
+    <= hi.  Its ends are the corners on the circle, or the axis points where
+    the window reaches +-1.  The far point of an end on its own circle is
+    its antipode, and when lo <= 0 <= hi, so that the arc holds antipodal
+    pairs, one of the two ends has its antipode in the window: the 2 R
+    pairs are among the candidates.  The set holds x, so some window is
+    nonempty and there are candidates.
+    """
+    if not 0.0 < eps < math.inf:
+        raise ValueError("lens_diam_exact needs finite eps > 0")
+    _, _, r1, r2 = _lens_radii(x)
+    inner = (max(r1 - eps, 0.0), max(r2 - eps, 0.0))
+    outer = (r1 + eps, r2 + eps)
+    # the corners of the two inner circles; those on an outer circle are the
+    # ends of its window
+    corners: list[tuple[float, float]] = []
+    if min(inner) > 0.0:
+        cx = 0.5 * ((inner[0] - inner[1]) * (inner[0] + inner[1]) + 1.0)
+        cy2 = (inner[0] - cx) * (inner[0] + cx)
+        if cy2 >= 0.0:
+            corners += [(cx, math.sqrt(cy2)), (cx, -math.sqrt(cy2))]
+    arcs = []
+    for k in (0, 1):
+        c, d, R = float(k), 1.0 - 2.0 * k, outer[k]
+        o, i = outer[1 - k], inner[1 - k]
+        lo = max(-1.0, ((R - o) * (R + o) + 1.0) / (2.0 * R))
+        hi = min(1.0, ((R - i) * (R + i) + 1.0) / (2.0 * R))
+        if lo <= hi:
+            arcs.append((c, d, R, lo, hi))
+            for ct in (lo, hi):
+                sy = R * math.sqrt((1.0 - ct) * (1.0 + ct))
+                corners += [(c + R * d * ct, sy), (c + R * d * ct, -sy)]
+    points = list(corners)
+    for px, py in corners:
+        for c, d, R, lo, hi in arcs:
+            dist = math.hypot(c - px, py)
+            if dist > 0.0 and lo <= d * (c - px) / dist <= hi:
+                points.append((c + R * (c - px) / dist, -R * py / dist))
+    return max(math.dist(p, q) for p, q in itertools.combinations(points, 2))
 
 
 def lens_admissible_configs(

@@ -827,18 +827,18 @@ def _chk_planar_below(cfg, t):
 @_register(
     "lens-diameter-bounds",
     "lens-diameter-bounds",
-    "100 seeded admissible configurations, 1e4 hull samples each",
+    "100 seeded admissible configurations, exact diameter",
     1e-12,
 )
 def _chk_lens(cfg, t):
     configs = ds.lens_admissible_configs(100, seed=cfg.seed)
     for i, c in enumerate(configs):
         x, eps = c["x"], float(c["eps"])
-        brute = ds.lens_diam_brute(x, eps, 10**4, seed=cfg.seed + i)
-        t.add(ds.lens_diam_bound_sqrt(x, eps) - brute, f"sqrt config #{i}")
+        diam = ds.lens_diam_exact(x, eps)
+        t.add(ds.lens_diam_bound_sqrt(x, eps) - diam, f"sqrt config #{i}")
         if c["omega"] is not None:
             lin = ds.lens_diam_bound_linear(x, eps, float(c["omega"]))
-            t.add(lin - brute, f"linear config #{i}")
+            t.add(lin - diam, f"linear config #{i}")
 
 
 @_register(

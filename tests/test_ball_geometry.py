@@ -195,6 +195,34 @@ class TestBallConstantsAnyT:
             assert rep.outer_euclid_radius_factor == tiny
             assert rep.aux_constants["k_radius_outer"] == tiny
 
+    @given(
+        st.sampled_from([3, 4]),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_upper_ends_positive(self, n, t):
+        # each _hi end bounds a positive constant from above, also where
+        # tau_n_inv overflows and the constant falls below the double range
+        for rep in (mu_ball_constants(n, t), lambda_ball_constants(n, t)):
+            his = {k: v for k, v in rep.aux_constants.items() if k.endswith("_hi")}
+            assert len(his) == 3
+            assert all(v > 0.0 for v in his.values()), his
+
+    def test_lambda_constants_where_two_t_overflows(self):
+        # u = tau_n_inv(2 t) lies in (0, tau_n_inv(DBL_MAX)] once 2 t overflows
+        for n in (2, 3, 4):
+            rep = lambda_ball_constants(n, sys.float_info.max)
+            assert rep.inner_euclid_radius_factor == 0.0
+            if n > 2:
+                assert 0.0 < rep.aux_constants["c2_hi"] < 1e-50
+
+    def test_upper_ends_beyond_double_range(self):
+        big = sys.float_info.max
+        for n, t in ((3, 1e-6), (4, 1e-9)):
+            d2_hi = mu_ball_constants(n, t).aux_constants["d2_hi"]
+            c1_hi = lambda_ball_constants(n, t).aux_constants["c1_hi"]
+            assert d2_hi == math.nextafter(1.0 / math.sqrt(big), math.inf)
+            assert c1_hi == math.nextafter(1.0 / big, math.inf)
+
 
 class TestCircumscribedRadius:
     def test_antipodal_limit(self):

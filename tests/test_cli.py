@@ -242,6 +242,17 @@ class TestBallCommand:
         assert float(values["d3"]) > 0.0
         assert float(values["k_radius_outer"]) > 0.0
 
+    @pytest.mark.parametrize(
+        "command, key", [("mu-constants", "d2_hi"), ("lambda-constants", "c1_hi")]
+    )
+    def test_upper_end_positive_at_small_t(self, capsys, command, key):
+        # tau_3_inv overflows at t = 1e-6: the upper end is its value at
+        # DBL_MAX rounded up, not 0
+        code, out, _ = run_cli(capsys, "ball", command, "--n", "3", "--t", "1e-6")
+        assert code == 0
+        values = dict(line.split() for line in out.splitlines())
+        assert float(values[key]) > 0.0
+
 
 class TestDistortCommand:
     def test_bound_prints_value_and_labels(self, capsys):
@@ -282,6 +293,30 @@ class TestDistortCommand:
         )
         assert code == 2
         assert "error" in err.lower()
+
+    def test_lens_exact_is_the_corner_distance(self, capsys):
+        # x = -1: the corners |p| = 1.01, |p - e1| = 1.99 sit at Re p = -0.97,
+        # and they are the farthest pair of the one-patch lens
+        code, out, _ = run_cli(
+            capsys, "distort", "lens-exact", "--x", "-1", "0", "--eps", "0.01"
+        )
+        assert code == 0
+        assert float(out) == pytest.approx(2.0 * math.sqrt(1.01**2 - 0.97**2), rel=1e-13)
+
+    @pytest.mark.parametrize("eps", ["0", "nan"])
+    def test_lens_exact_refuses_bad_eps(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys, "distort", "lens-exact", "--x", "-1", "0", "--eps", eps
+        )
+        assert code == 2 and out == ""
+        assert "needs finite eps > 0" in err
+
+    def test_lens_exact_refuses_non_finite_x(self, capsys):
+        code, out, err = run_cli(
+            capsys, "distort", "lens-exact", "--x", "nan", "0", "--eps", "0.01"
+        )
+        assert code == 2 and out == ""
+        assert "finite x" in err
 
 
 class TestHarmonicCommand:
@@ -563,7 +598,7 @@ class TestTopLevel:
             "ball separating-inner", "ball separating-outer", "ball punctured-moduli",
             "ball irrelevance",
             "distort bound", "distort report", "distort eps-to-K", "distort lens-sqrt",
-            "distort lens-linear", "distort lens-brute",
+            "distort lens-linear", "distort lens-brute", "distort lens-exact",
             "harmonic exponent", "harmonic laplacian", "harmonic scan",
             "harmonic moduli", "harmonic profile",
         ],

@@ -26,6 +26,7 @@ from cgft.distortion import (
     lens_diam_bound_linear,
     lens_diam_bound_sqrt,
     lens_diam_brute,
+    lens_diam_exact,
     lens_window,
     radial_stretch_delta,
     tangent_domination_M,
@@ -466,6 +467,138 @@ class TestLensKernels:
         for i, cfg in enumerate(lens_admissible_configs(100, seed)):
             lens_diam_brute(cfg["x"], cfg["eps"], 10**4, seed=seed + i)
         assert len(batches) >= 100 and sum(batches) > 0
+
+
+def caliper_diameter(hull):
+    """Largest vertex distance of a counter-clockwise convex polygon, by
+    rotating calipers (reference)."""
+
+    def area(a, b, c):
+        return abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+    m, best, j = len(hull), 0.0, 1
+    for i in range(m if m > 1 else 0):
+        a, b = hull[i], hull[(i + 1) % m]
+        while area(a, b, hull[(j + 1) % m]) > area(a, b, hull[j]):
+            j = (j + 1) % m
+        best = max(best, math.dist(a, hull[j]), math.dist(b, hull[j]))
+    return best
+
+
+def dense_lens_diam(x, eps, n=4096):
+    """Diameter of a dense sample of the lens boundary (reference): n
+    points on each of the four circles, kept by a hypot test against the
+    other centre, with each arc end refined by bisection in the angle."""
+    r1, r2 = math.hypot(x[0], x[1]), math.hypot(x[0] - 1.0, x[1])
+    radii = ((r1 - eps, r1 + eps), (r2 - eps, r2 + eps))
+    pts = []
+    for k in (0, 1):
+        lo, hi = radii[1 - k]
+        for R in radii[k]:
+            if R <= 0.0:
+                continue
+
+            def on(th):
+                return np.column_stack((k + R * np.cos(th), R * np.sin(th)))
+
+            def inside(th):
+                p = on(th)
+                d = np.hypot(p[:, 0] - (1 - k), p[:, 1])
+                return (d >= lo) & (d <= hi)
+
+            th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+            ok = inside(th)
+            pts.append(on(th[ok]))
+            j = np.flatnonzero(ok != np.roll(ok, -1))
+            a, b = th[j], th[j] + 2.0 * math.pi / n
+            a, b = np.where(ok[j], a, b), np.where(ok[j], b, a)  # a inside
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                ins = inside(mid)
+                a, b = np.where(ins, mid, a), np.where(ins, b, mid)
+            pts.append(on(a))
+    return caliper_diameter(plain_chain(np.concatenate(pts)))
+
+
+class TestLensDiamExact:
+    @pytest.mark.parametrize(
+        "x, eps",
+        [
+            ((-0.5, 0.0), 0.05),  # one patch about the negative axis
+            ((-1.0, 0.0), 0.01),
+            ((0.6, 0.45), 0.01),  # two patches, at x and its mirror image
+            ((0.5, 2.0), 0.1),
+            ((0.0, 1.0), 0.5),  # the outer arc about 0 holds an antipodal pair
+            ((0.2, 0.1), 0.3),  # |x| < eps: no inner circle about 0
+            ((3.0, 0.5), 2.5),  # r2 < eps as well
+            ((0.5, 0.0), 0.4),
+        ],
+    )
+    def test_matches_dense_boundary_sample(self, x, eps):
+        exact, dense = lens_diam_exact(x, eps), dense_lens_diam(x, eps)
+        assert exact - 1e-5 <= dense <= exact * (1.0 + 1e-12)
+
+    def test_closed_form_corner_distance(self):
+        # x = 1/2: the outer circles cross at Re p = 1/2, height sqrt(0.81 - 0.25)
+        assert lens_diam_exact((0.5, 0.0), 0.4) == pytest.approx(
+            2.0 * math.sqrt(0.56), rel=1e-15
+        )
+
+    def test_antipodal_pair(self):
+        # (0, +-1.5) lie in the set, 3 apart; nothing lies farther
+        assert lens_diam_exact((0.0, 1.0), 0.5) == 3.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_brute_is_a_witness(self, seed):
+        for i, cfg in enumerate(lens_admissible_configs(100, seed)):
+            exact = lens_diam_exact(cfg["x"], cfg["eps"])
+            brute = lens_diam_brute(cfg["x"], cfg["eps"], 10**4, seed=seed + i)
+            assert brute <= exact * (1.0 + 1e-12), (seed, i)
+
+    def test_brute_approaches_exact(self):
+        cfg = lens_admissible_configs(100, 0)[0]
+        assert cfg["omega"] is None  # collinear
+        exact = lens_diam_exact(cfg["x"], cfg["eps"])
+        gaps = [
+            exact - lens_diam_brute(cfg["x"], cfg["eps"], N, seed=0)
+            for N in (10**4, 10**5)
+        ]
+        assert -1e-12 * exact <= gaps[1] < gaps[0]
+
+    @pytest.mark.parametrize(
+        "x", [(-0.5, 0.0), (0.6, 0.45), (0.3, -0.2), (1.7, 0.9), (-2.0, 3.0)]
+    )
+    @pytest.mark.parametrize("eps", [0.001, 0.05, 0.4, 2.0])
+    def test_symmetries(self, x, eps):
+        d = lens_diam_exact(x, eps)
+        assert lens_diam_exact((x[0], -x[1]), eps) == d
+        # x -> 1 - conj(x) swaps the two centres
+        assert lens_diam_exact((1.0 - x[0], x[1]), eps) == pytest.approx(d, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [(-0.5, 0.0), (0.6, 0.45), (0.9, 0.1), (2.0, -1.0)])
+    def test_monotone_in_eps(self, x):
+        values = [lens_diam_exact(x, float(e)) for e in np.geomspace(1e-4, 3.0, 200)]
+        for a, b in zip(values, values[1:]):
+            assert b >= a * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
+    def test_refuses_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="finite eps > 0"):
+            lens_diam_exact((-0.5, 0.0), eps)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: lens_diam_exact(x, 0.01),
+            lambda x: lens_diam_bound_sqrt(x, 0.01),
+            lambda x: lens_diam_brute(x, 0.01, 10**4),
+            lens_window,
+        ],
+    )
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.5, math.inf), (0.0, 0.0)])
+    def test_refuses_bad_x(self, fn, x):
+        with pytest.raises(ValueError, match="lens construction"):
+            fn(x)
 
 
 class TestEpsToK:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 
@@ -190,6 +191,21 @@ class TestVerdicts:
         # the config applies DomainProps' rules, so no check sees uniform_c = inf
         with pytest.raises(ValueError, match="uniform_constant"):
             VerifyConfig(uniform_c=math.inf)
+
+    def test_seeded_checks_pass_for_seeds_0_to_49(self):
+        # every check that reads cfg.seed, the lens check included, with the
+        # constants configured as in the documented verify run
+        seeded = [
+            c.check_id for c in verify._REGISTRY if "cfg.seed" in inspect.getsource(c.fn)
+        ]
+        assert len(seeded) == 13 and "lens-diameter-bounds" in seeded
+        pattern = "^(" + "|".join(seeded) + ")$"
+        for seed in range(50):
+            cfg = VerifyConfig(seed=seed, cn=0.15, uniform_c=2.0, qed_c=0.5)
+            report = run_verify(pattern, cfg)
+            assert len(report.entries) == 13
+            for e in report.entries:
+                assert e.passed, (seed, e.check_id, e.min_slack, e.argmin, e.note)
 
     def test_sandwich_passes_for_every_seed(self):
         # the feet of x and y make the sampled supremum reach j exactly, so
