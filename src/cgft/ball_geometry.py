@@ -15,15 +15,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ._roots import bisect_monotone
 from .special_functions import (
+    Interval,
+    _falling_hi,
     check_dimension,
-    gamma2_inv,
+    gamma_n_inv_bounds,
     mu_inv,
     tau2,
-    tau2_inv,
     tau_n_bounds,
     tau_n_inv_bounds,
 )
@@ -87,36 +88,6 @@ class PuncturedDiskModuli(NamedTuple):
     delta1: float
 
 
-def _tau_inv_pair(n: int, y: float) -> tuple[float, float]:
-    """Enclosure ends of the inverse ring-capacity function."""
-    if n == 2:
-        v = tau2_inv(y)
-        return v, v
-    iv = tau_n_inv_bounds(n, y)
-    return iv.lo, iv.hi
-
-
-def _falling_hi(f: Callable[[float], float], lo: float) -> float:
-    """Upper end f(lo) of a decreasing f at the lower end lo of its argument.
-
-    Where lo overflowed to +inf the argument exceeds DBL_MAX, so its value
-    lies below f(DBL_MAX); that, rounded up, bounds it from above and stays
-    positive where f(inf) reads 0.
-    """
-    if lo == math.inf:
-        return math.nextafter(f(sys.float_info.max), math.inf)
-    return f(lo)
-
-
-def _tau_at_one(n: int) -> tuple[float, float]:
-    """Enclosure ends of the ring capacity at argument 1."""
-    if n == 2:
-        v = tau2(1.0)
-        return v, v
-    iv = tau_n_bounds(n, 1.0)
-    return iv.lo, iv.hi
-
-
 def quasiball_radii(M: float) -> BallInclusionReport:
     """Euclidean squeeze of the quasihyperbolic ball of radius M.
 
@@ -142,44 +113,44 @@ def lambda_ball_constants(n: int, t: float) -> BallInclusionReport:
     u = tau_n_inv(2 t), and c3 = tau_n_inv(t/sqrt 2); the level set
     contains B(x, c2 d(x)) and sits inside B(x, c3 d(x)).  The
     quasihyperbolic outer radius log(1/(1 - c3)) is reported only when
-    t > sqrt(2) tau_n(1), which forces c3 < 1.  Exact in the plane;
-    enclosure ends (suffixed _lo/_hi) in higher dimension, chosen so
-    the reported squeeze stays valid.
+    t > sqrt(2) tau_n(1), which forces c3 < 1.  Enclosure ends (suffixed
+    _lo/_hi) in higher dimension, chosen so the reported squeeze stays
+    valid; in the plane each constant is printed at its safe end.
     """
     n = check_dimension(n)
     if not t > 0:
         raise ValueError("lambda_ball_constants needs t > 0")
-    c3_lo, c3_hi = _tau_inv_pair(n, t / math.sqrt(2.0))
+    c3 = tau_n_inv_bounds(n, t / math.sqrt(2.0))
     if 2.0 * t < math.inf:
-        u_lo, u_hi = _tau_inv_pair(n, 2.0 * t)
+        u = tau_n_inv_bounds(n, 2.0 * t)
     else:
         # 2 t overflows: tau_n_inv falls, so 0 < u <= tau_n_inv(DBL_MAX)
-        u_lo, u_hi = 0.0, _tau_inv_pair(n, sys.float_info.max)[1]
-    c1_lo = 1.0 / (1.0 + c3_hi)
-    c1_hi = _falling_hi(lambda c: 1.0 / (1.0 + c), c3_lo)
-    c2_lo = math.sqrt(u_lo / (1.0 + u_lo)) if math.isfinite(u_lo) else 1.0
-    c2_hi = math.sqrt(u_hi / (1.0 + u_hi)) if math.isfinite(u_hi) else 1.0
+        u = Interval(0.0, tau_n_inv_bounds(n, sys.float_info.max).hi)
+    c1_lo = 1.0 / (1.0 + c3.hi)
+    c1_hi = _falling_hi(lambda c: 1.0 / (1.0 + c), c3.lo)
+    c2_lo = math.sqrt(u.lo / (1.0 + u.lo)) if math.isfinite(u.lo) else 1.0
+    c2_hi = math.sqrt(u.hi / (1.0 + u.hi)) if math.isfinite(u.hi) else 1.0
 
     if n == 2:
-        aux = {"c1": c1_lo, "c2": c2_lo, "c3": c3_lo}
+        aux = {"c1": c1_lo, "c2": c2_lo, "c3": c3.hi}
     else:
         aux = {
             "c1_lo": c1_lo, "c1_hi": c1_hi,
             "c2_lo": c2_lo, "c2_hi": c2_hi,
-            "c3_lo": c3_lo, "c3_hi": c3_hi,
+            "c3_lo": c3.lo, "c3_hi": c3.hi,
         }
     aux["k_radius_inner"] = math.log1p(c2_lo)
     # strict-inequality gate, conservative by a part in 1e12 so the exact
     # threshold stays closed under roundoff; c3 < 1 guards the formula
-    threshold = math.sqrt(2.0) * _tau_at_one(n)[1]
-    if t > threshold * (1.0 + 1e-12) and c3_hi < 1.0:
-        aux["k_radius_outer"] = -math.log1p(-c3_hi)
+    threshold = math.sqrt(2.0) * tau_n_bounds(n, 1.0).hi
+    if t > threshold * (1.0 + 1e-12) and c3.hi < 1.0:
+        aux["k_radius_outer"] = -math.log1p(-c3.hi)
         note = "quasihyperbolic outer radius included (t > sqrt(2) tau_n(1))"
     else:
         note = "quasihyperbolic outer radius omitted (needs t > sqrt(2) tau_n(1))"
     return BallInclusionReport(
         inner_euclid_radius_factor=c2_lo,
-        outer_euclid_radius_factor=c3_hi,
+        outer_euclid_radius_factor=c3.hi,
         aux_constants=aux,
         validity_note=note,
     )
@@ -188,9 +159,8 @@ def lambda_ball_constants(n: int, t: float) -> BallInclusionReport:
 def mu_ball_constants(n: int, t: float) -> BallInclusionReport:
     """Euclidean squeeze of the capacity-metric ball {y : mu(x, y) < t}.
 
-    Reports d1 = u/(1+u), d2 = 1/gamma_n_inv(t), d3 = 1/u with
-    u = tau_n_inv(t), where gamma_n(s) = 2^(n-1) tau_n(s^2 - 1) gives
-    gamma_n_inv(t) = sqrt(1 + tau_n_inv(t / 2^(n-1))); the ball contains
+    Reports d1 = u/(1+u), d2 = 1/gamma_n_inv(t) and d3 = 1/u with
+    u = tau_n_inv(t); the ball contains
     B(x, d2 d(x)) and sits inside B(x, d3 d(x)), and the constants are
     best possible for a domain with connected nondegenerate boundary.
     The quasihyperbolic outer radius log(1/(1 - d3)) is reported only
@@ -199,21 +169,14 @@ def mu_ball_constants(n: int, t: float) -> BallInclusionReport:
     n = check_dimension(n)
     if not t > 0:
         raise ValueError("mu_ball_constants needs t > 0")
-    u_lo, u_hi = _tau_inv_pair(n, t)
-    d1_lo = u_lo / (1.0 + u_lo) if math.isfinite(u_lo) else 1.0
-    d1_hi = u_hi / (1.0 + u_hi) if math.isfinite(u_hi) else 1.0
-    if n == 2:
-        d2 = 1.0 / gamma2_inv(t)
-        d2_lo = d2_hi = d2
-    else:
-        # gamma_n_inv(t) = sqrt(1 + tau_n_inv(t / 2^(n-1))), exactly
-        # below the double range when t / 2^(n-1) underflows to 0
-        y = t / 2 ** (n - 1)
-        h_lo, h_hi = _tau_inv_pair(n, y) if y > 0.0 else (math.inf, math.inf)
-        d2_lo = 1.0 / math.sqrt(1.0 + h_hi)
-        d2_hi = _falling_hi(lambda h: 1.0 / math.sqrt(1.0 + h), h_lo)
-    d3_lo = 1.0 / u_hi if u_hi > 0.0 else math.inf
-    d3_hi = _falling_hi(lambda u: 1.0 / u if u > 0.0 else math.inf, u_lo)
+    u = tau_n_inv_bounds(n, t)
+    d1_lo = u.lo / (1.0 + u.lo) if math.isfinite(u.lo) else 1.0
+    d1_hi = u.hi / (1.0 + u.hi) if math.isfinite(u.hi) else 1.0
+    s = gamma_n_inv_bounds(n, t)
+    d2_lo = 1.0 / s.hi
+    d2_hi = _falling_hi(lambda v: 1.0 / v, s.lo)
+    d3_lo = 1.0 / u.hi if u.hi > 0.0 else math.inf
+    d3_hi = _falling_hi(lambda v: 1.0 / v if v > 0.0 else math.inf, u.lo)
 
     if n == 2:
         aux = {"d1": d1_lo, "d2": d2_lo, "d3": d3_hi}
@@ -225,7 +188,7 @@ def mu_ball_constants(n: int, t: float) -> BallInclusionReport:
         }
     # strict-inequality gate, conservative by a part in 1e12 so the exact
     # threshold stays closed under roundoff; d3 < 1 guards the formula
-    threshold = _tau_at_one(n)[0]
+    threshold = tau_n_bounds(n, 1.0).lo
     if t < threshold * (1.0 - 1e-12) and d3_hi < 1.0:
         aux["k_radius_outer"] = -math.log1p(-d3_hi)
         note = "quasihyperbolic outer radius included (t < tau_n(1))"

@@ -5,8 +5,8 @@ Three families of results live here.
 
 * Maps of the closed ball that equal the identity on the boundary sphere:
   hyperbolic and euclidean displacement bounds driven by the constant
-  ``a = phi_{1/K,n}(1/sqrt 2)^2``, the cylinder analogue, and the sharp
-  lower bound realized by the radial stretch.
+  ``a = phi_{1/K,n}(1/sqrt 2)^2``, the cylinder analogue, and the largest
+  displacement of the radial stretch, one map of that class.
 * Maps of the whole space normalized at 0, e1 and infinity: quasisymmetry
   control of ``|f(x)|``, two-sided power growth envelopes, the lens-set
   geometry bounding ``|f(x) - x|``, and the distance-ratio transfer bound.
@@ -196,11 +196,12 @@ def id_boundary_euclid_bound(n: int, K: float) -> float:
 
 
 def radial_stretch_delta(n: int, K: float) -> float:
-    """Sharp displacement lower bound (1 - alpha) alpha^(alpha/(1-alpha)).
+    """Largest displacement (1 - alpha) alpha^(alpha/(1-alpha)) of the radial stretch.
 
     The radial stretch |z|^(alpha-1) z, alpha = K^(1/(1-n)), is a K-qc map
-    fixing the boundary sphere whose maximal displacement equals this
-    value; it always exceeds (1 - alpha)/e.
+    fixing the boundary sphere; this value is its own largest displacement
+    and always exceeds (1 - alpha)/e.  Other maps of the class move a point
+    farther, so it is not the extremal displacement.
     """
     n = check_dimension(n)
     if not K > 1.0:

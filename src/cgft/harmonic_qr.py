@@ -235,15 +235,6 @@ class BoundaryFunction1D:
         pts = np.exp(2j * math.pi * np.arange(n) / n)
         return cls(tuple(complex(fn(complex(p))) for p in pts))
 
-    @property
-    def angles(self) -> np.ndarray:
-        n = len(self.samples)
-        return np.arange(n) * (_TWO_PI / n)
-
-    @property
-    def unit_points(self) -> np.ndarray:
-        return np.exp(1j * self.angles)
-
 
 @dataclass(frozen=True)
 class SphereBoundaryFunction:

@@ -15,7 +15,9 @@ ValueError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "Interval",
@@ -34,6 +36,7 @@ __all__ = [
     "tau_n_bounds",
     "gamma_n_bounds",
     "tau_n_inv_bounds",
+    "gamma_n_inv_bounds",
     "eta_K_n",
     "phi_Kn_lower",
     "teichmuller_p_circle",
@@ -302,40 +305,73 @@ def _expm1(x: float) -> float:
         return math.inf
 
 
+def _falling_hi(f: Callable[[float], float], lo: float) -> float:
+    """Upper end f(lo) of a decreasing f at the lower end lo of its argument.
+
+    Where lo overflowed to +inf the argument exceeds DBL_MAX, so its value
+    lies below f(DBL_MAX); that, rounded up, bounds it from above and stays
+    positive where f(inf) reads 0.
+    """
+    if lo == math.inf:
+        return math.nextafter(f(sys.float_info.max), math.inf)
+    return f(lo)
+
+
 def tau_n_inv_bounds(n: int, y: float) -> Interval:
     """Enclosure of the inverse capacity: any t with tau_n(t) = y lies inside.
 
-    n = 2 is exact via tau2_inv.  For n >= 3 the two envelope curves behind
-    tau_n_bounds invert in closed form: with L = (omega / y)^(1/(n-1)),
-    the right end is expm1(L) and the left end expm1(L - 2 log lambda_hi),
-    clamped to 0 when y is at least the lower envelope's limit at t = 0.
-    An end past float range is inf, as in tau2_inv.
+    n = 2 is exact via tau2_inv, except where tau2_inv underflows to 0:
+    then the interval is [0, smallest positive double].  For n >= 3 the two
+    envelope curves behind tau_n_bounds invert in closed form: with
+    L = (omega / y)^(1/(n-1)), the right end is expm1(L) and the left end
+    expm1(L - 2 log lambda_hi), clamped to 0 when y is at least the lower
+    envelope's limit at t = 0.  An end past float range is inf, as in
+    tau2_inv.
     """
     n = check_dimension(n)
     if not 0 < y < math.inf:
         raise ValueError("tau_n_inv_bounds needs finite y > 0")
     if n == 2:
-        return Interval.exact(tau2_inv(y))
+        v = tau2_inv(y)
+        return Interval.exact(v) if v > 0.0 else Interval(0.0, math.ulp(0.0))
     L = (omega_sphere(n) / y) ** (1.0 / (n - 1))
     lo = max(0.0, _expm1(L - 2.0 * math.log(lambda_n_interval(n).hi)))
     return Interval(lo, _expm1(L))
 
 
+def gamma_n_inv_bounds(n: int, y: float) -> Interval:
+    """Enclosure of the inverse Grotzsch capacity: any s with gamma_n(s) = y.
+
+    n = 2 is exact via gamma2_inv.  For n >= 3 the envelopes behind
+    gamma_n_bounds invert in closed form: with L = (omega / y)^(1/(n-1)),
+    s lies in [max(1, e^L / lambda_hi), e^L]; an end past float range is
+    inf.  These are the envelopes of tau_n_inv_bounds, since
+    gamma_n(s) = 2^(n-1) tau_n(s^2 - 1).
+    """
+    n = check_dimension(n)
+    if not 0 < y < math.inf:
+        raise ValueError("gamma_n_inv_bounds needs finite y > 0")
+    if n == 2:
+        return Interval.exact(gamma2_inv(y))
+    L = (omega_sphere(n) / y) ** (1.0 / (n - 1))
+    lo = 1.0 + _expm1(L - math.log(lambda_n_interval(n).hi))
+    return Interval(max(1.0, lo), 1.0 + _expm1(L))
+
+
 def eta_K_n(n: int, K: float, t: float) -> Interval:
     """Quasisymmetry control eta_{K,n}(t) = tau_n^{-1}(tau_n(t) / K).
 
-    Exact degenerate interval for n = 2.  For n >= 3 the capacity envelope
-    ends are pushed through the inverse enclosure in the directionally safe
-    order: the capacities decrease, so the smallest eta comes from the
-    largest capacity value and the lower inverse end.
+    The capacity enclosure ends are pushed through the inverse enclosure in
+    the directionally safe order: the capacities decrease, so the smallest
+    eta comes from the largest capacity value and the lower inverse end.
+    Both are exact for n = 2, so the interval is degenerate there unless
+    tau2_inv underflows.
     """
     n = check_dimension(n)
     if not 0 < K < math.inf:
         raise ValueError("eta_K_n needs finite K > 0")
     if not 0 < t < math.inf:
         raise ValueError("eta_K_n needs finite t > 0")
-    if n == 2:
-        return Interval.exact(tau2_inv(tau2(t) / K))
     tb = tau_n_bounds(n, t)
     lo = tau_n_inv_bounds(n, tb.hi / K).lo
     hi = tau_n_inv_bounds(n, tb.lo / K).hi

@@ -29,6 +29,7 @@ from enum import Enum
 
 from .special_functions import (
     _expm1,
+    _falling_hi,
     check_dimension,
     gamma2,
     gamma_n_bounds,
@@ -344,18 +345,19 @@ def builtin_chart(n: int = 2) -> TransferChart:
     def small_ball_capacity(t: float, props: DomainProps) -> float:
         if t >= log2:
             raise TransferRangeError("capacity form needs t < log 2")
-        return g_hi(1.0 / math.expm1(t))
+        # 1 / expm1(t) overflows for subnormal t; gamma_n falls
+        return _falling_hi(g_hi, 1.0 / math.expm1(t))
 
     def log_power_upper(t: float, props: DomainProps) -> float:
         if t >= 1.0:
             raise TransferRangeError("log-power form needs t < 1")
-        return omega_n * math.log(1.0 / t) ** (1 - n)
+        return omega_n * (-math.log(t)) ** (1 - n)
 
     ALPHA_H2 = 9.0 / 8.0 * log2  # planar piecewise constant
 
     def planar_piecewise(t: float, props: DomainProps) -> float:
         if t <= 1.0 / 12.0:
-            return 2.0 * math.pi * ALPHA_H2 / math.log(1.0 / (6.0 * t))
+            return -2.0 * math.pi * ALPHA_H2 / math.log(6.0 * t)
         return 324.0 * math.pi * t * t
 
     def qed_capacity(t: float, props: DomainProps) -> float:
@@ -377,14 +379,20 @@ def builtin_chart(n: int = 2) -> TransferChart:
         return -math.log1p(-v)
 
     def cap_to_delta(t: float, props: DomainProps) -> float:
-        v = tinv_lo(t)
-        return math.log1p(1.0 / v) if v > 0.0 else math.inf
+        return _falling_hi(
+            lambda v: math.log1p(1.0 / v) if v > 0.0 else math.inf, tinv_lo(t)
+        )
 
     def ring_to_delta(t: float, props: DomainProps) -> float:
         return math.log1p(2.0 * tinv_hi(1.0 / t))
 
+    def mu_to_j(t: float, props: DomainProps) -> float:
+        # where t / c_n underflows to 0 the smallest positive double bounds
+        # it from above, and every edge after this one increases
+        return max(t / props.cn_constant, math.ulp(0.0))
+
     def compose_mu_to_ring(t: float, props: DomainProps) -> float:
-        return qed_capacity(t / props.cn_constant, props)
+        return qed_capacity(mu_to_j(t, props), props)
 
     def compose_ring_to_cap(t: float, props: DomainProps) -> float:
         u = ring_to_j(t, props)
@@ -429,7 +437,7 @@ def builtin_chart(n: int = 2) -> TransferChart:
             window="0 <= t < log 2",
         ),
         ZetaEdge(
-            MU, J, lambda t, p: t / p.cn_constant,
+            MU, J, mu_to_j,
             ("boundary_connected", "cn_constant"),
             "capacity-dominates-distance-ratio", "t / c_n",
         ),

@@ -220,8 +220,27 @@ class TestBallConstantsAnyT:
         for n, t in ((3, 1e-6), (4, 1e-9)):
             d2_hi = mu_ball_constants(n, t).aux_constants["d2_hi"]
             c1_hi = lambda_ball_constants(n, t).aux_constants["c1_hi"]
-            assert d2_hi == math.nextafter(1.0 / math.sqrt(big), math.inf)
+            assert d2_hi == math.nextafter(1.0 / big, math.inf)
             assert c1_hi == math.nextafter(1.0 / big, math.inf)
+
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_lambda_outer_factor_positive(self, n, t):
+        # c3 = tau_n_inv(t / sqrt 2) is positive for every t > 0, also where
+        # tau2_inv underflows and c3 falls below the double range
+        rep = lambda_ball_constants(n, t)
+        assert rep.outer_euclid_radius_factor > 0.0
+        k = rep.aux_constants.get("k_radius_outer")
+        assert k is None or k > 0.0
+
+    def test_lambda_outer_factor_where_tau2_inv_underflows(self):
+        assert tau2_inv(1000.0 / math.sqrt(2.0)) == 0.0
+        rep = lambda_ball_constants(2, 1000.0)
+        assert rep.outer_euclid_radius_factor == math.ulp(0.0)
+        assert rep.aux_constants["c3"] == math.ulp(0.0)
+        assert rep.aux_constants["k_radius_outer"] == math.ulp(0.0)
 
 
 class TestCircumscribedRadius:

@@ -203,6 +203,20 @@ class TestChartCommand:
         assert float(value) == pytest.approx(expected, rel=1e-15)
         assert path == f"path: {argv[argv.index('--from') + 1]} -> euclid"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--from", "j", "--to", "mu", "--t", "1e-310", "--local"],
+            ["--from", "mu", "--to", "lambda_inv", "--t", "5e-324", "--cn", "10",
+             "--qed-c", "0.5", "--connected"],
+        ],
+    )
+    def test_subnormal_t_answers(self, capsys, argv):
+        # 1 / expm1(t) overflowed to inf and t / c_n underflowed to 0 here
+        code, out, _ = run_cli(capsys, "chart", "query", *argv)
+        assert code == 0
+        assert float(out.splitlines()[0]) > 0.0
+
     def test_export_takes_no_domain_constant(self, capsys):
         code, out, _ = run_cli(capsys, "chart", "export", "--cn", "0.15")
         assert code == 2 and out == ""
@@ -240,6 +254,15 @@ class TestBallCommand:
         assert code == 0
         values = dict(line.split() for line in out.splitlines())
         assert float(values["d3"]) > 0.0
+        assert float(values["k_radius_outer"]) > 0.0
+
+    def test_lambda_constants_outer_factor_positive_at_large_t(self, capsys):
+        # tau2_inv(1000 / sqrt 2) underflows to 0; c3 reports the smallest
+        # positive double, an upper bound of it
+        code, out, _ = run_cli(capsys, "ball", "lambda-constants", "--t", "1000")
+        assert code == 0
+        values = dict(line.split() for line in out.splitlines())
+        assert float(values["c3"]) > 0.0
         assert float(values["k_radius_outer"]) > 0.0
 
     @pytest.mark.parametrize(

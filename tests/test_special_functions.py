@@ -14,6 +14,7 @@ from cgft.special_functions import (
     gamma2,
     gamma2_inv,
     gamma_n_bounds,
+    gamma_n_inv_bounds,
     lambda_n_interval,
     mu,
     mu_inv,
@@ -371,6 +372,43 @@ class TestTauInvBounds:
         # relative error, stated directly: approx would add abs=1e-12
         assert abs(tau_n_inv_bounds(n, hi).hi / t - 1.0) <= 1e-13
 
+    def test_plane_where_tau2_inv_underflows(self):
+        y = 1000.0 / math.sqrt(2.0)
+        assert tau2_inv(y) == 0.0
+        iv = tau_n_inv_bounds(2, y)
+        assert iv.lo == 0.0 < iv.hi == math.ulp(0.0)
+
+
+class TestGammaInvBounds:
+    def test_plane(self):
+        for y in (1e-300, 0.1, 4.0, 50.0, 1e300):
+            assert gamma_n_inv_bounds(2, y) == Interval.exact(gamma2_inv(y))
+        assert gamma_n_inv_bounds(2, 1e-300).hi == math.inf
+
+    @given(st.sampled_from([3, 4, 5]), st.floats(-6.0, 6.0))
+    def test_upper_envelope_round_trip(self, n, e):
+        s = 1.0 + 10.0**e
+        hi = gamma_n_bounds(n, s).hi
+        assert abs(gamma_n_inv_bounds(n, hi).hi / s - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_the_tau_envelopes(self, n):
+        # gamma_n(s) = 2^(n-1) tau_n(s^2 - 1) puts both inverses on one pair
+        # of envelopes: s^2 - 1 runs over tau_n_inv_bounds(n, y / 2^(n-1))
+        for y in (0.01, 0.5, 3.0, 40.0, 1e4):
+            s = gamma_n_inv_bounds(n, y)
+            h = tau_n_inv_bounds(n, y / 2 ** (n - 1))
+            assert 1.0 <= s.lo < s.hi
+            assert s.hi == pytest.approx(math.sqrt(1.0 + h.hi), rel=1e-13)
+            assert s.lo == pytest.approx(math.sqrt(1.0 + h.lo), rel=1e-13)
+
+    def test_end_past_float_range_is_inf(self):
+        # L = 712 puts e^L past float range but not e^L / lambda_hi
+        y = omega_sphere(3) / 712.0**2
+        iv = gamma_n_inv_bounds(3, y)
+        assert iv.hi == math.inf
+        assert iv.lo == pytest.approx(math.exp(712.0 - math.log(2.0 * math.e**2)))
+
 
 class TestEtaKn:
     def test_identity_at_K1(self):
@@ -465,6 +503,8 @@ NON_FINITE_CALLS = {
     "tau2_inv-inf": (tau2_inv, (INF,)),
     "tau_n_inv_bounds-nan": (tau_n_inv_bounds, (3, NAN)),
     "tau_n_inv_bounds-inf": (tau_n_inv_bounds, (2, INF)),
+    "gamma_n_inv_bounds-nan": (gamma_n_inv_bounds, (3, NAN)),
+    "gamma_n_inv_bounds-inf": (gamma_n_inv_bounds, (2, INF)),
     "tau_n_bounds-nan": (tau_n_bounds, (3, NAN)),
     "tau_n_bounds-inf": (tau_n_bounds, (3, INF)),
     "gamma_n_bounds-inf": (gamma_n_bounds, (3, INF)),

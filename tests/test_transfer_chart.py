@@ -253,6 +253,30 @@ class TestQuery:
         assert res.value == pytest.approx(0.6, rel=1e-12)
         assert res.nodes == (AL, J, DE)
 
+    @pytest.mark.parametrize(
+        "frm, to, props",
+        [
+            (J, MU, DomainProps(locality="local")),
+            (MU, LI, DomainProps(boundary_connected=True, cn_constant=10.0, qed_constant=0.5)),
+        ],
+    )
+    def test_subnormal_input(self, chart, frm, to, props):
+        # 1 / expm1(t) overflows and t / c_n underflows here; the edges
+        # bound both from the safe side instead of raising
+        for t in (1e-310, 5e-324):
+            res = query(chart, frm, to, props, t)
+            assert 0.0 < res.value < 0.01
+
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from(list(MetricId)),
+        st.sampled_from(list(MetricId)),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_every_positive_finite_input_answers(self, n, frm, to, t):
+        res = query(builtin_chart(n), frm, to, ALL_PROPS, t)
+        assert res is None or res.value >= 0.0
+
 
 CHARTS = {n: builtin_chart(n) for n in (2, 3)}
 FACTS = {
@@ -291,8 +315,7 @@ class TestMoreFactsNeverWorsen:
         nested_facts(),
         st.sampled_from(list(MetricId)),
         st.sampled_from(list(MetricId)),
-        # below the normal range 1 / expm1(t) overflows in the small-ball edge
-        st.floats(0.0, 1e3, allow_subnormal=False),
+        st.floats(0.0, 1e3),
     )
     def test_bound_monotone_in_facts(self, n, facts, frm, to, t):
         def value(props):
