@@ -320,20 +320,21 @@ def _falling_hi(f: Callable[[float], float], lo: float) -> float:
 def tau_n_inv_bounds(n: int, y: float) -> Interval:
     """Enclosure of the inverse capacity: any t with tau_n(t) = y lies inside.
 
-    n = 2 is exact via tau2_inv, except where tau2_inv underflows to 0:
-    then the interval is [0, smallest positive double].  For n >= 3 the two
-    envelope curves behind tau_n_bounds invert in closed form: with
+    n = 2 is exact via tau2_inv, but one step wider each way where that is
+    subnormal or 0, as its last rounding may move it a whole step.  For
+    n >= 3 the envelopes behind tau_n_bounds invert in closed form: with
     L = (omega / y)^(1/(n-1)), the right end is expm1(L) and the left end
     expm1(L - 2 log lambda_hi), clamped to 0 when y is at least the lower
-    envelope's limit at t = 0.  An end past float range is inf, as in
-    tau2_inv.
+    envelope's limit at t = 0.  An end past float range is inf.
     """
     n = check_dimension(n)
     if not 0 < y < math.inf:
         raise ValueError("tau_n_inv_bounds needs finite y > 0")
     if n == 2:
         v = tau2_inv(y)
-        return Interval.exact(v) if v > 0.0 else Interval(0.0, math.ulp(0.0))
+        if v >= sys.float_info.min:
+            return Interval.exact(v)
+        return Interval(math.nextafter(v, 0.0), math.nextafter(v, math.inf))
     L = (omega_sphere(n) / y) ** (1.0 / (n - 1))
     lo = max(0.0, _expm1(L - 2.0 * math.log(lambda_n_interval(n).hi)))
     return Interval(lo, _expm1(L))
@@ -364,8 +365,7 @@ def eta_K_n(n: int, K: float, t: float) -> Interval:
     The capacity enclosure ends are pushed through the inverse enclosure in
     the directionally safe order: the capacities decrease, so the smallest
     eta comes from the largest capacity value and the lower inverse end.
-    Both are exact for n = 2, so the interval is degenerate there unless
-    tau2_inv underflows.
+    For n = 2 one inversion serves both ends, as the capacity is exact.
     """
     n = check_dimension(n)
     if not 0 < K < math.inf:
@@ -373,9 +373,9 @@ def eta_K_n(n: int, K: float, t: float) -> Interval:
     if not 0 < t < math.inf:
         raise ValueError("eta_K_n needs finite t > 0")
     tb = tau_n_bounds(n, t)
-    lo = tau_n_inv_bounds(n, tb.hi / K).lo
-    hi = tau_n_inv_bounds(n, tb.lo / K).hi
-    return Interval(lo, hi)
+    at_hi = tau_n_inv_bounds(n, tb.hi / K)
+    at_lo = at_hi if tb.is_degenerate else tau_n_inv_bounds(n, tb.lo / K)
+    return Interval(at_hi.lo, at_lo.hi)
 
 
 def phi_Kn_lower(n: int, K: float, r: float) -> float:

@@ -23,6 +23,7 @@ is too weak, which is still a correct (vacuous) bound.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -287,19 +288,29 @@ def union_modulus(
 # the builtin chart
 
 
-def _decreasing_inverse(inv: Callable[[float], float]) -> Callable[[float], float]:
+def _decreasing_inverse(
+    *, upper: bool
+) -> Callable[[Callable[[float], float]], Callable[[float], float]]:
     """Extend the inverse of a decreasing map of (0, inf) onto itself to
-    its exact limits, inf at y = 0 and 0 at y = inf, so a path carrying an
-    infinite or vanishing bound gives the limit instead of raising."""
+    y = 0, where it is inf, and to y = inf, so a path carrying an infinite
+    or vanishing bound gives a limit instead of raising.
 
-    def inverse(y: float) -> float:
-        if y == 0.0:
-            return math.inf
-        if y == math.inf:
-            return 0.0
-        return inv(y)
+    y = inf stands for a value past DBL_MAX, whose inverse lies in
+    (0, inv(DBL_MAX)): an upper end takes inv(DBL_MAX) rounded up, a lower
+    end the limit 0.
+    """
 
-    return inverse
+    def extend(inv: Callable[[float], float]) -> Callable[[float], float]:
+        def inverse(y: float) -> float:
+            if y == 0.0:
+                return math.inf
+            if y == math.inf and not upper:
+                return 0.0
+            return _falling_hi(inv, y)
+
+        return inverse
+
+    return extend
 
 
 def builtin_chart(n: int = 2) -> TransferChart:
@@ -319,11 +330,13 @@ def builtin_chart(n: int = 2) -> TransferChart:
         def tau_lo(s: float) -> float:
             return tau2(s)
 
-        @_decreasing_inverse
+        @_decreasing_inverse(upper=True)
         def tinv_hi(y: float) -> float:
             return tau2_inv(y)
 
-        tinv_lo = tinv_hi
+        @_decreasing_inverse(upper=False)
+        def tinv_lo(y: float) -> float:
+            return tau2_inv(y)
     else:
         def g_hi(s: float) -> float:
             return gamma_n_bounds(n, s).hi
@@ -331,11 +344,11 @@ def builtin_chart(n: int = 2) -> TransferChart:
         def tau_lo(s: float) -> float:
             return tau_n_bounds(n, s).lo
 
-        @_decreasing_inverse
+        @_decreasing_inverse(upper=True)
         def tinv_hi(y: float) -> float:
             return tau_n_inv_bounds(n, y).hi
 
-        @_decreasing_inverse
+        @_decreasing_inverse(upper=False)
         def tinv_lo(y: float) -> float:
             return tau_n_inv_bounds(n, y).lo
 
@@ -387,9 +400,10 @@ def builtin_chart(n: int = 2) -> TransferChart:
         return math.log1p(2.0 * tinv_hi(1.0 / t))
 
     def mu_to_j(t: float, props: DomainProps) -> float:
-        # where t / c_n underflows to 0 the smallest positive double bounds
-        # it from above, and every edge after this one increases
-        return max(t / props.cn_constant, math.ulp(0.0))
+        # a subnormal or vanishing t / c_n may have rounded down by a whole
+        # step; the next double up bounds it, and every later edge increases
+        q = t / props.cn_constant
+        return q if q >= sys.float_info.min else math.nextafter(q, math.inf)
 
     def compose_mu_to_ring(t: float, props: DomainProps) -> float:
         return qed_capacity(mu_to_j(t, props), props)

@@ -242,6 +242,14 @@ class TestBallConstantsAnyT:
         assert rep.aux_constants["c3"] == math.ulp(0.0)
         assert rep.aux_constants["k_radius_outer"] == math.ulp(0.0)
 
+    def test_lambda_outer_factor_where_tau2_inv_is_subnormal(self):
+        # the outer factor is the safe end, one step above the subnormal
+        t = 470.0 * math.sqrt(2.0)
+        v = tau2_inv(t / math.sqrt(2.0))
+        assert 0.0 < v < sys.float_info.min
+        rep = lambda_ball_constants(2, t)
+        assert rep.outer_euclid_radius_factor == math.nextafter(v, math.inf)
+
 
 class TestCircumscribedRadius:
     def test_antipodal_limit(self):

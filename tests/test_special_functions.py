@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -378,6 +379,15 @@ class TestTauInvBounds:
         iv = tau_n_inv_bounds(2, y)
         assert iv.lo == 0.0 < iv.hi == math.ulp(0.0)
 
+    def test_plane_where_tau2_inv_is_subnormal(self):
+        # the last rounding of a subnormal can move it by a whole step
+        y = 470.0
+        v = tau2_inv(y)
+        assert 0.0 < v < sys.float_info.min
+        iv = tau_n_inv_bounds(2, y)
+        assert iv.lo == math.nextafter(v, 0.0)
+        assert iv.hi == math.nextafter(v, math.inf)
+
 
 class TestGammaInvBounds:
     def test_plane(self):
@@ -424,6 +434,12 @@ class TestEtaKn:
         for K in [1.2, 1.5, 2.0]:
             v = eta_K_n(2, K, 1.0).lo
             assert math.exp(math.pi * (K - 1.0)) < v < math.exp(b * (K - 1.0))
+
+    def test_planar_subnormal_widened(self):
+        t = 1e-320
+        iv = eta_K_n(2, 1.0, t)
+        assert iv.lo < iv.hi
+        assert iv.hi == tau_n_inv_bounds(2, tau2(t)).hi
 
     def test_three_dim_interval(self):
         # at t = 1 the envelope gap is wide enough that the left end clamps to 0

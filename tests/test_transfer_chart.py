@@ -267,6 +267,20 @@ class TestQuery:
             res = query(chart, frm, to, props, t)
             assert 0.0 < res.value < 0.01
 
+    def test_subnormal_quotient_rounds_up(self, chart):
+        # t / c_n = 1e-310 / 0.15 is subnormal and may have rounded down
+        t, cn = 1e-310, 0.15
+        props = DomainProps(boundary_connected=True, cn_constant=cn)
+        res = query(chart, MU, J, props, t)
+        assert res.value == math.nextafter(t / cn, math.inf)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_inverse_past_double_range(self, n):
+        # 1 / (sqrt 2 t) overflows; the inverse at DBL_MAX, rounded up,
+        # bounds the answer from above, where the limit 0 would not
+        res = query(builtin_chart(n), LI, J, BARE, 1e-310)
+        assert res.value > 0.0
+
     @given(
         st.sampled_from([2, 3, 4]),
         st.sampled_from(list(MetricId)),
