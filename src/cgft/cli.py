@@ -12,18 +12,15 @@ import argparse
 import csv
 import json
 import sys
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ball_geometry as bg
-from . import distortion as ds
-from . import harmonic_qr as hq
-from . import metrics as mt
 from . import special_functions as sf
 from . import transfer_chart as tc
 from .special_functions import Interval
-from .verify import VerifyConfig, distortion_inequality_report, run_verify
+
+if TYPE_CHECKING:
+    from .harmonic_qr import HarmonicPlanarMap
 
 __all__ = ["main"]
 
@@ -127,6 +124,8 @@ _EXACT_QH_KINDS = ("punctured_space", "half_space")
 
 
 def _cmd_metric(args, parser) -> None:
+    from . import metrics as mt
+
     x = tuple(args.x)
     y = tuple(args.y)
     if len(x) != len(y):
@@ -154,6 +153,8 @@ def _cmd_metric(args, parser) -> None:
 
 
 def _add_metric(p: argparse.ArgumentParser) -> None:
+    from . import metrics as mt
+
     p.add_argument("--domain", choices=mt.CANONICAL_DOMAIN_NAMES, required=True)
     p.add_argument(
         "--metric",
@@ -278,6 +279,8 @@ def _add_ball(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_distort_bound(args, parser) -> None:
+    from . import distortion as ds
+
     b = ds.distortion_bound(
         args.quantity,
         args.n,
@@ -293,6 +296,8 @@ def _cmd_distort_bound(args, parser) -> None:
 
 
 def _cmd_distort_report(args, parser) -> None:
+    from .verify import distortion_inequality_report
+
     report = distortion_inequality_report(args.K, args.n)
     for entry in report["entries"]:
         slack = entry["min_slack"]
@@ -301,6 +306,8 @@ def _cmd_distort_report(args, parser) -> None:
 
 
 def _add_distort(p: argparse.ArgumentParser) -> None:
+    from . import distortion as ds
+
     sub = p.add_subparsers(dest="distort_op", required=True)
     pd = _leaf(sub, "bound", _cmd_distort_bound)
     pd.add_argument("--quantity", choices=ds.QUANTITY_LABELS, required=True)
@@ -339,7 +346,9 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
     return tuple(complex(tok) for tok in text.split(",") if tok.strip())
 
 
-def _harmonic_map_from_args(args, parser) -> hq.HarmonicPlanarMap:
+def _harmonic_map_from_args(args, parser) -> HarmonicPlanarMap:
+    from . import harmonic_qr as hq
+
     if args.k is not None:
         if args.g is not None or args.h is not None:
             parser.error("give either --k or --g/--h, not both")
@@ -352,6 +361,8 @@ def _harmonic_map_from_args(args, parser) -> hq.HarmonicPlanarMap:
 
 
 def _cmd_harmonic_laplacian(args, parser) -> None:
+    from . import harmonic_qr as hq
+
     f = _harmonic_map_from_args(args, parser)
     z = complex(args.z[0], args.z[1])
     if args.p is None:
@@ -361,6 +372,8 @@ def _cmd_harmonic_laplacian(args, parser) -> None:
 
 
 def _cmd_harmonic_scan(args, parser) -> None:
+    from . import harmonic_qr as hq
+
     f = _harmonic_map_from_args(args, parser)
     if args.p is None:
         parser.error("harmonic scan needs --p")
@@ -371,6 +384,8 @@ def _cmd_harmonic_scan(args, parser) -> None:
 
 
 def _cmd_harmonic_moduli(args, parser) -> None:
+    from . import harmonic_qr as hq
+
     f = _harmonic_map_from_args(args, parser)
     deltas = [float(tok) for tok in args.delta_list.split(",") if tok.strip()]
     rows = hq.modulus_profile(f, deltas, boundary_N=args.boundary_n)
@@ -382,6 +397,8 @@ def _cmd_harmonic_moduli(args, parser) -> None:
 
 
 def _cmd_harmonic_profile(args, parser) -> None:
+    from . import harmonic_qr as hq
+
     f = _harmonic_map_from_args(args, parser)
     ps = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
     rows = hq.subharmonic_profile(f, ps, grid_radius=args.grid_radius, grid_N=args.grid)
@@ -402,6 +419,8 @@ def _map_leaf(sub, name: str, handler: Callable) -> argparse.ArgumentParser:
 
 
 def _add_harmonic(p: argparse.ArgumentParser) -> None:
+    from . import harmonic_qr as hq
+
     sub = p.add_subparsers(dest="harmonic_op", required=True)
     _leaf(sub, "exponent", _prints(lambda a: hq.subharmonic_exponent(a.k)), "--k")
     ph = _map_leaf(sub, "laplacian", _cmd_harmonic_laplacian)
@@ -429,6 +448,8 @@ def _add_harmonic(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import VerifyConfig, run_verify
+
     config = VerifyConfig(
         seed=args.seed, cn=args.cn, uniform_c=args.uniform_c, qed_c=args.qed_c
     )
@@ -482,6 +503,9 @@ def _sweep_registry(args, parser) -> tuple[str, list[str], Callable[[float], lis
     Columns are fixed per op so a zero-step sweep still writes the header
     its populated counterpart would have.
     """
+    from . import distortion as ds
+    from . import harmonic_qr as hq
+
     op = args.op
     if op.startswith("sf."):
         name = op[3:]
@@ -510,6 +534,8 @@ def _sweep_registry(args, parser) -> tuple[str, list[str], Callable[[float], lis
 
 
 def _cmd_sweep(args, parser) -> None:
+    import numpy as np
+
     default_param, columns, evaluate = _sweep_registry(args, parser)
     param = args.param or default_param
     if args.steps < 0:
@@ -525,6 +551,8 @@ def _cmd_sweep(args, parser) -> None:
 
 
 def _add_sweep(p: argparse.ArgumentParser) -> None:
+    from . import distortion as ds
+
     p.add_argument("op")
     p.add_argument("--param", default=None, help="column name for the parameter")
     p.add_argument("--from", dest="frm", type=float, required=True)

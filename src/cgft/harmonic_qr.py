@@ -352,8 +352,8 @@ def check_subharmonic(
         raise ValueError("grid_radius must lie in (0, 1)")
     if grid_N < 4:
         raise ValueError("grid_N must be at least 4")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be nonnegative and finite")
     radii = np.linspace(grid_radius / grid_N, grid_radius, grid_N)
     angles = np.arange(grid_N) * (_TWO_PI / grid_N)
     Z = radii[:, None] * np.exp(1j * angles)[None, :]

@@ -675,8 +675,8 @@ def quasihyperbolic_numeric(
     graph the temporaries stay O(_QH_ROWS).  The grid doubles until two
     successive values differ by less than tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     px, py = as_point(x), as_point(y)
     if px == py:
         return MetricValue(0.0, exact=True)

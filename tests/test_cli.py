@@ -107,6 +107,15 @@ class TestMetricCommand:
         )
         assert code == 2
 
+    def test_numeric_quasihyperbolic_refuses_nan_tol(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "metric", "--domain", "ball", "--metric", "quasihyperbolic",
+            "--x", "0.1", "0", "0", "--y", "0.2", "0.1", "0", "--tol", "nan",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be positive and finite\n"
+
 
 class TestChartCommand:
     def test_export_has_at_least_20_cited_edges(self, capsys):
@@ -391,6 +400,14 @@ class TestHarmonicCommand:
         )
         assert code == 2
 
+    def test_scan_refuses_nan_tol(self, capsys):
+        # the grid minimum here is about 0.175 > 0, yet a NaN tol read "no"
+        code, out, err = run_cli(
+            capsys, "harmonic", "scan", "--k", "0.5", "--p", "1", "--tol", "nan"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: tol must be nonnegative and finite\n"
+
 
 class TestVerifyCommand:
     def test_filter_runs_matching_checks_and_exits_zero(self, capsys):
@@ -443,7 +460,7 @@ class TestVerifyCommand:
         assert "error" in err.lower()
 
     def test_failed_entry_exits_one(self, capsys, monkeypatch):
-        import cgft.cli as cli_mod
+        from cgft import verify
         from cgft.verify import VerifyEntry, VerifyReport
 
         failing = VerifyReport(
@@ -458,7 +475,7 @@ class TestVerifyCommand:
                 ),
             )
         )
-        monkeypatch.setattr(cli_mod, "run_verify", lambda *a, **k: failing)
+        monkeypatch.setattr(verify, "run_verify", lambda *a, **k: failing)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert out.startswith("FAIL synthetic-failure")

@@ -248,6 +248,12 @@ class TestCheckSubharmonic:
         with pytest.raises(ValueError):
             check_subharmonic(f, 0.5, 0.9, 2, 1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_refuses_tol_that_is_not_nonnegative_and_finite(self, tol):
+        # min_value >= -nan is False on every grid, and >= -inf always True
+        with pytest.raises(ValueError, match="tol"):
+            check_subharmonic(HarmonicPlanarMap.shear(0.5), 1.0, 0.9, 32, tol)
+
     def test_profile_rows_match_scans(self):
         f = HarmonicPlanarMap.shear(0.5)
         rows = subharmonic_profile(f, [0.7, 0.95])

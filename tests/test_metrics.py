@@ -460,6 +460,13 @@ class TestQuasihyperbolicNumeric:
         assert res.value >= exact - 5e-3
         assert res.value <= exact * 1.15
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
+    def test_refuses_tol_that_is_not_positive_and_finite(self, punctured_plane, tol):
+        # a NaN tol never stops the doubling, so the search would run to
+        # its deepest level; an infinite one stops after the second level
+        with pytest.raises(ValueError, match="tol"):
+            quasihyperbolic_numeric(punctured_plane, (1.0, 0.0), (2.0, 0.0), tol)
+
 
 def loop_grid_path(D, ax, ay, level):
     """The quasihyperbolic grid graph built one segment at a time, kept as
