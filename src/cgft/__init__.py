@@ -2,9 +2,9 @@
 
 The names from ``special_functions``, ``ball_geometry`` and
 ``transfer_chart`` are bound on import; those modules need only the
-standard library.  The names from the numpy-backed modules resolve on
-first access (PEP 562), so ``import cgft`` and the scalar CLI commands
-never load numpy.
+standard library.  The names from the numpy-backed modules are looked up
+in their module on each access (PEP 562), so ``import cgft`` and the
+scalar CLI commands never load numpy.
 """
 
 from .special_functions import (
@@ -152,8 +152,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # resolved on every access and never stored, so a name rebound in its
-    # module (by a profiler or a test's monkeypatch) shows through here
+    # never stored here, so a name rebound in its module (by a profiler or
+    # a test's monkeypatch) shows through, and its restoration too
     from importlib import import_module
 
     if name in _LAZY_MODULES:

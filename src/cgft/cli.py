@@ -4,6 +4,10 @@ One binary with subcommand style and no configuration files; every
 input arrives as a flag so reported numbers are reproducible.  Exit
 codes: 0 success, 1 at least one failed verify entry, 2 usage error,
 3 I/O failure.
+
+Only the standard-library modules are imported here; each command
+imports the numpy-backed modules it uses, so ``sf``, ``chart``, ``ball``
+and the top-level help start without numpy.
 """
 
 from __future__ import annotations
