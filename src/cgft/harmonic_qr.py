@@ -227,6 +227,9 @@ class BoundaryFunction1D:
         n = len(self.samples)
         if n < 8 or n & (n - 1):
             raise ValueError("sample count must be a power of two, at least 8")
+        for c in self.samples:
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError("samples must be finite")
 
     @classmethod
     def from_callable(
@@ -323,8 +326,8 @@ def laplacian_abs_f_p(f: HarmonicPlanarMap, z, p: float):
     """Laplacian of |f|^p away from zeros of f:
     p^2(|g'|^2+|h'|^2)|f|^(p-2) + 2p(p-2)|f|^(p-4) Re(conj(g') h' f^2)."""
     p = float(p)
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
     m = np.abs(f(z))
     if np.any(m == 0.0):
         raise SingularPointError("the power Laplacian is singular at zeros of f")
@@ -346,8 +349,8 @@ def check_subharmonic(
     singular there.
     """
     p = float(p)
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
     if not 0.0 < grid_radius < 1.0:
         raise ValueError("grid_radius must lie in (0, 1)")
     if grid_N < 4:
@@ -445,6 +448,11 @@ def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
 # moduli of continuity by dense sampling (lower approximations of the sups)
 
 
+#: Absolute part of the block-skip margin in ``_polar_sup``: a few
+#: subnormal steps, the error of a gap whose modulus underflows.
+_GAP_SLACK = 8 * math.ulp(0.0)
+
+
 def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
     """sup |F[a] - F[b]| over polar-grid points a, b at most delta apart.
 
@@ -459,45 +467,132 @@ def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
     the first lag that keeps no row, the scan at the first k >= 1 with no
     row at lag 0.  Pairs at exactly delta count: the test carries a
     cushion of a part in 1e12.
+
+    Lags 1, 2, ... of each k are cut into blocks of B = isqrt(longest lag
+    list) lags, and a block whose pairs cannot raise the sup is skipped.
+    With W[r] the largest gap within row r at angular lags 1..B-1 and
+    H[i] = max_j |F[i, j] - F[i+k, j+l0]|, the triangle inequality through
+    F[i+k, j+l0] gives, for l0 <= l < l0 + B,
+
+        |F[i, j] - F[i+k, j+l]| <= H[i] + W[i+k],
+
+    and through F[i, j+l-l0] the same with W[i], since H[i] is a maximum
+    over the whole circle; the reverse pairs of k >= 1 likewise.  So every
+    block's head lag l0 is evaluated exactly (it counts toward the sup)
+    with a maximum per row, and the block's other lags are skipped when
+    the largest head gap plus min(W[i], W[i+k]) over their row prefix,
+    times 1 + 1e-12, plus a few subnormal steps, is at or below the sup
+    found so far; the blocks are visited by decreasing bound.  The margin
+    covers rounding: a rounded complex subtraction followed by ``hypot``
+    is within a few ulps of the exact gap of the stored values (within a
+    few subnormal steps where it underflows), so a skipped pair computes
+    at most the computed head gap plus W, grown by a few ulps, which is
+    far inside a part in 1e12.  No skipped pair can raise the sup, which
+    is therefore the same to the bit as a scan of every pair.  Lag 0 of
+    each k >= 1 spans every row, so it is evaluated apart, never in a
+    block.  W is filled only for the rows some block bounds.
     """
     n_r, n_t = F.shape
     cushion = delta * (1.0 + 1e-12) + 1e-15
-    best = 0.0
+    sines: list[float] = []
+    plan = []  # (k, rows kept at lags 0, 1, ...)
     for k in range(n_r):
         dr = radii[k:] - radii[: n_r - k]
         if k and dr[0] > cushion:
             break
         chord = 2.0 * np.sqrt(radii[: n_r - k] * radii[k:])
-        rows = n_r - k
-        for lag in range(0 if k else 1, n_t // 2 + 1):
-            far = np.hypot(dr[:rows], chord[:rows] * math.sin(math.pi * lag / n_t)) > cushion
-            if far.any():
-                rows = int(far.argmax())
-                if rows == 0:
-                    break
-            a, b = F[:rows], F[k : k + rows]
-            best = max(best, _lag_gap(a, b, lag), _lag_gap(b, a, lag) if k and lag else 0.0)
+        plan.append((k, _row_counts(dr, chord, sines, n_t, cushion)))
+
+    B = max(1, math.isqrt(max(c.size - 1 for _, c in plan)))
+    W = np.zeros(max(k + c[2] for k, c in plan if c.size > 2) if B > 1 else 0)
+    for lag in range(1, B):
+        np.maximum(W, _lag_gaps(F[: W.size], F[: W.size], lag), out=W)
+
+    def gaps(k, rows, lag):
+        """Per-row maxima of the forward and (k, lag >= 1) the reverse pairs."""
+        a, b = F[:rows], F[k : k + rows]
+        fwd = _lag_gaps(a, b, lag)
+        return fwd, _lag_gaps(b, a, lag) if k and lag else fwd
+
+    best = 0.0
+    blocks = []
+    for k, counts in plan:
+        if k:
+            best = max(best, float(gaps(k, counts[0], 0)[0].max()))
+        for head in range(1, counts.size, B):
+            fwd, rev = gaps(k, counts[head], head)
+            best = max(best, float(fwd.max()), float(rev.max()))
+            if B > 1 and head + 1 < counts.size:
+                inner = counts[head + 1]
+                spread = np.minimum(W[:inner], W[k : k + inner])
+                bound = float((np.maximum(fwd[:inner], rev[:inner]) + spread).max())
+                blocks.append((bound, k, head, counts))
+
+    blocks.sort(key=lambda block: block[0], reverse=True)
+    for bound, k, head, counts in blocks:
+        if bound * (1.0 + 1e-12) + _GAP_SLACK <= best:
+            break
+        for lag in range(head + 1, min(head + B, counts.size)):
+            fwd, rev = gaps(k, counts[lag], lag)
+            best = max(best, float(fwd.max()), float(rev.max()))
     return best
 
 
-def _lag_gap(a: np.ndarray, b: np.ndarray, lag: int) -> float:
-    """max |a[:, j] - b[:, (j + lag) mod n]|, on views rather than a rolled copy."""
+def _row_counts(
+    dr: np.ndarray, chord: np.ndarray, sines: list[float], n_t: int, cushion: float
+) -> np.ndarray:
+    """How many leading rows keep each lag 0, 1, ... within delta.
+
+    The prefix is carried from lag to lag and the list ends before the
+    first lag that keeps no row.  Lags are tested in runs of doubling
+    length, each run on the rows its first lag keeps.  ``sines`` caches
+    sin(pi lag / n_t) and grows only as far as some run reaches.
+    """
+    runs = []
+    rows, lag, width, last = dr.size, 0, 1, n_t // 2
+    while rows and lag <= last:
+        stop = min(last + 1, lag + width)
+        sines.extend(math.sin(math.pi * m / n_t) for m in range(len(sines), stop))
+        far = np.hypot(dr[:rows, None], chord[:rows, None] * np.array(sines[lag:stop])) > cushion
+        run = np.minimum.accumulate(np.where(far.any(axis=0), far.argmax(axis=0), rows))
+        runs.append(run)
+        rows, lag, width = int(run[-1]), stop, 2 * width
+    counts = np.concatenate(runs)
+    return counts[: np.count_nonzero(counts)]
+
+
+def _lag_gaps(a: np.ndarray, b: np.ndarray, lag: int) -> np.ndarray:
+    """Per row, max_j |a[:, j] - b[:, (j + lag) mod n]|, on views rather than a rolled copy."""
     n = a.shape[1]
-    gap = float(np.max(np.abs(a[:, : n - lag] - b[:, lag:])))
+    gap = np.abs(a[:, : n - lag] - b[:, lag:]).max(axis=1)
     if lag:
-        gap = max(gap, float(np.max(np.abs(a[:, n - lag :] - b[:, :lag]))))
+        np.maximum(gap, np.abs(a[:, n - lag :] - b[:, :lag]).max(axis=1), out=gap)
     return gap
+
+
+def _checked_delta(delta) -> float:
+    delta = float(delta)
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+    return delta
 
 
 def boundary_modulus(phi: BoundaryFunction1D, delta: float) -> float:
     """sup |phi_i - phi_j| over sample pairs with chordal gap at most delta.
 
     The pairs are those at lag 1..N/2 with chord 2 sin(pi lag / N) within
-    delta, scanned by increasing lag until the chord passes delta.
+    delta.  The lags are cut into blocks of about sqrt(L) lags, L the last
+    lag within delta.  Each block's first lag l0 is evaluated exactly, and
+    by the triangle inequality no pair of the block's other lags exceeds
+    max_j |phi_j - phi_(j+l0)| + W, W the largest gap at lags below the
+    block length.  A block whose bound, times 1 + 1e-12 plus a few
+    subnormal steps, is at or below the sup found so far is skipped: a
+    rounded subtraction followed by ``hypot`` is within a few ulps of the
+    exact gap, so no skipped pair computes above that sup, and the value
+    is the same to the bit as a scan of every lag.  ``delta`` must be
+    positive and finite.
     """
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    delta = _checked_delta(delta)
     return _polar_sup(np.asarray(phi.samples, dtype=complex)[None, :], np.ones(1), delta)
 
 
@@ -511,11 +606,17 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
     k = 0, 0..n_t/2 both ways for k >= 1) until none is left within delta.
     The grid values come from ``f.on_polar_grid``: per radius, the
     coefficients r^m c_m folded by m mod n_t and one inverse FFT, which is
-    exact for a polynomial at the n_t-th roots of unity.
+    exact for a polynomial at the n_t-th roots of unity.  As in
+    ``boundary_modulus``, blocks of angular lags are skipped when the
+    triangle inequality through their first lag, |f(a) - f(b)| <= |f(a) -
+    f(b0)| + W with W the smaller of the two rows' largest gaps over the
+    block's lag span, carries a margin of 1e-12 relative plus a few
+    subnormal steps and stays at or below the sup found so far; rounding
+    moves a computed gap by a few ulps only, so the value is the same to
+    the bit as a scan of every pair.  ``delta`` must be positive and
+    finite.
     """
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    delta = _checked_delta(delta)
     pair = (grid, grid) if isinstance(grid, (int, np.integer)) else grid
     n_r, n_t = (int(g) for g in pair)
     if n_r < 2 or n_t < 8:
@@ -536,12 +637,10 @@ def modulus_profile(
     delta (spacing about delta/2, capped at 4001 radii) so that
     near-boundary radial pairs at distance delta are present in the grid.
     """
+    deltas = [_checked_delta(d) for d in deltas]
     phi = boundary_samples_of(f, boundary_N)
     rows = []
     for d in deltas:
-        d = float(d)
-        if d <= 0.0:
-            raise ValueError("deltas must be positive")
         n_r = int(min(_PROFILE_MAX_RADII, max(21, round(2.0 / d) + 1)))
         rows.append(
             ModulusRow(d, boundary_modulus(phi, d), closed_modulus(f, d, (n_r, _PROFILE_ANGLES)))

@@ -400,6 +400,30 @@ class TestHarmonicCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_moduli_refuses_non_finite_delta(self, capsys, delta):
+        # inf printed "inf,3,3" with exit 0; nan failed converting NaN to an integer
+        code, out, err = run_cli(
+            capsys,
+            "harmonic", "moduli", "--k", "0.5", "--delta-list", delta, "--boundary-n", "64",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: delta must be positive and finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scan", "--k", "0.5", "--p", "nan", "--grid", "16"),
+            ("laplacian", "--k", "0.5", "--z", "0.5", "0", "--p", "nan"),
+            ("profile", "--k", "0.5", "--p-list", "nan", "--grid", "16"),
+        ],
+    )
+    def test_refuses_nan_p(self, capsys, argv):
+        # each printed NaN results with exit 0
+        code, out, err = run_cli(capsys, "harmonic", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: p must be positive and finite\n"
+
     def test_scan_refuses_nan_tol(self, capsys):
         # the grid minimum here is about 0.175 > 0, yet a NaN tol read "no"
         code, out, err = run_cli(

@@ -34,6 +34,7 @@ from cgft.harmonic_qr import (
     quasiregularity_constant,
     subharmonic_exponent,
     subharmonic_profile,
+    _polar_sup,
 )
 
 
@@ -183,6 +184,11 @@ class TestLaplacianAbsFP:
         with pytest.raises(ValueError):
             laplacian_abs_f_p(HarmonicPlanarMap.shear(0.5), 0.5, 0.0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            laplacian_abs_f_p(HarmonicPlanarMap.shear(0.5), 0.5, p)
+
     def test_matches_finite_differences(self):
         f = HarmonicPlanarMap((0.9, 1, 0.2), (0, 0.3))
         z = 0.3 + 0.2j
@@ -254,6 +260,14 @@ class TestCheckSubharmonic:
         with pytest.raises(ValueError, match="tol"):
             check_subharmonic(HarmonicPlanarMap.shear(0.5), 1.0, 0.9, 32, tol)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_refuses_non_finite_p(self, p):
+        # p <= 0 let NaN through, and the scan printed "min nan"
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            check_subharmonic(HarmonicPlanarMap.shear(0.5), p, 0.9, 16, 1e-9)
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            subharmonic_profile(HarmonicPlanarMap.shear(0.5), [0.9, p], grid_N=16)
+
     def test_profile_rows_match_scans(self):
         f = HarmonicPlanarMap.shear(0.5)
         rows = subharmonic_profile(f, [0.7, 0.95])
@@ -309,6 +323,14 @@ class TestPoissonDiskExtend:
         with pytest.raises(ValueError):
             BoundaryFunction1D((0j,) * 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
+    def test_non_finite_samples_refused(self, bad):
+        # one NaN sample made boundary_modulus(phi, 0.3) return 0.0
+        samples = list(boundary_samples_of(HarmonicPlanarMap.shear(0.5), 64).samples)
+        samples[17] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            BoundaryFunction1D(tuple(samples))
+
 
 class TestBoundaryModulus:
     def test_identity_at_exact_chord(self):
@@ -343,6 +365,13 @@ class TestBoundaryModulus:
         with pytest.raises(ValueError):
             boundary_modulus(phi, 0.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        # delta = NaN returned the diameter 3.0 for the 0.5-shear
+        phi = boundary_samples_of(HarmonicPlanarMap.shear(0.5), 64)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            boundary_modulus(phi, delta)
+
 
 class TestClosedModulus:
     def test_identity_map_attains_delta(self):
@@ -370,6 +399,14 @@ class TestClosedModulus:
             closed_modulus(f, 0.1, (1, 64))
         with pytest.raises(ValueError):
             closed_modulus(f, -0.1, (21, 64))
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        f = HarmonicPlanarMap.shear(0.5)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            closed_modulus(f, delta, (21, 64))
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            modulus_profile(f, [0.1, delta], boundary_N=64)
 
 
 def _all_pairs_sup(z: np.ndarray, F: np.ndarray, delta: float) -> float:
@@ -459,6 +496,96 @@ class TestModuliMatchAllPairs:
         F = np.asarray(phi.samples)
         for delta in _deltas(rng, z):
             assert boundary_modulus(phi, delta) == _all_pairs_sup(z, F, delta)
+
+
+def _all_pairs_sup_in_slabs(z: np.ndarray, F: np.ndarray, delta: float) -> float:
+    """_all_pairs_sup taken over 256-point slabs of the pair matrix."""
+    z, F = z.ravel(), F.ravel()
+    best = 0.0
+    for s in range(0, z.size, 256):
+        near = np.abs(z[s : s + 256, None] - z[None, :]) <= delta * (1.0 + 1e-12) + 1e-15
+        best = max(best, float(np.max(np.abs(F[s : s + 256, None] - F[None, :])[near])))
+    return best
+
+
+def _skip_test_maps(kind: str) -> HarmonicPlanarMap:
+    """A smooth, a random low-degree, a high-mode and a noise-like map."""
+    rng = np.random.default_rng(19)
+    if kind == "shear":
+        return HarmonicPlanarMap.shear(0.5)
+    if kind == "random":
+        return _random_map(rng, degree=5)
+    if kind == "high-mode":
+        g = np.zeros(302, dtype=complex)
+        g[1], g[301] = 1.0, 0.05
+        return HarmonicPlanarMap(tuple(g), (0.0, 0.3j))
+    # degree far above the sample count: the folded grid values look random
+    return _random_map(rng, degree=3000)
+
+
+class TestModuliMatchAllPairsWhereBlocksSkip:
+    """Grids large enough that the scan skips blocks of lags: both moduli
+    still equal the all-pairs sup, noise samples included."""
+
+    @pytest.mark.parametrize("kind", ["shear", "random", "high-mode", "noise"])
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_boundary_modulus(self, n, kind):
+        rng = np.random.default_rng([n, 21])
+        z = np.exp(2j * math.pi * np.arange(n) / n)
+        if kind == "noise":
+            phi = BoundaryFunction1D(tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        else:
+            phi = boundary_samples_of(_skip_test_maps(kind), n)
+        F = np.asarray(phi.samples)
+        for delta in [0.02, 0.3, 1.5, float(np.abs(z[0] - z[int(rng.integers(1, n // 2))]))]:
+            assert boundary_modulus(phi, delta) == _all_pairs_sup_in_slabs(z, F, delta)
+
+    @pytest.mark.parametrize("kind", ["shear", "random", "high-mode", "noise"])
+    @pytest.mark.parametrize("n_r", [6, 12])
+    def test_closed_modulus(self, n_r, kind):
+        rng = np.random.default_rng([n_r, 22])
+        f = _skip_test_maps(kind)
+        n_t = 128
+        radii = np.linspace(0.0, 1.0, n_r)
+        z = radii[:, None] * np.exp(2j * math.pi * np.arange(n_t) / n_t)[None, :]
+        F = f.on_polar_grid(radii, n_t)
+        gaps = np.abs(z.ravel()[0] - z.ravel())
+        for delta in [0.05, 0.3, 1.0, float(rng.choice(gaps[gaps > 0]))]:
+            assert closed_modulus(f, delta, (n_r, n_t)) == _all_pairs_sup_in_slabs(z, F, delta)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_phase_shifted_rows(self, seed):
+        # one angular mode per row with its own phase: the reverse pairs of
+        # a radius offset peak at lags where the forward pairs are small, so
+        # a block bound must take both directions
+        rng = np.random.default_rng([seed, 6])
+        n_r, n_t = int(rng.integers(3, 13)), int(rng.choice([64, 128]))
+        radii = np.linspace(0.0, 1.0, n_r)
+        theta = 2.0 * math.pi * np.arange(n_t) / n_t
+        z = radii[:, None] * np.exp(1j * theta)[None, :]
+        phase = int(rng.integers(1, 4)) * theta[None, :] + rng.uniform(0.0, 2.0 * math.pi, (n_r, 1))
+        F = rng.uniform(0.5, 1.0, (n_r, 1)) * np.exp(1j * phase)
+        for delta in (0.2, 0.4, 0.7):
+            assert _polar_sup(F, radii, delta) == _all_pairs_sup_in_slabs(z, F, delta)
+
+    def test_smooth_maps_skip_most_lags(self, monkeypatch):
+        import cgft.harmonic_qr as hq
+
+        calls = []
+        kernel = hq._lag_gaps
+        monkeypatch.setattr(
+            hq, "_lag_gaps", lambda a, b, lag: calls.append(lag) or kernel(a, b, lag)
+        )
+        # boundary: a scan of every lag makes one call per lag within delta
+        n, delta = 2048, 1.5
+        lags = sum(2.0 * math.sin(math.pi * m / n) <= delta for m in range(1, n // 2 + 1))
+        boundary_modulus(boundary_samples_of(HarmonicPlanarMap.shear(0.5), n), delta)
+        assert len(calls) <= lags // 4
+        # closed grid from radius 0: k = 0 keeps all 64 lags, and each k
+        # with r_k <= delta its lag 0 plus 64 lags both ways
+        calls.clear()
+        closed_modulus(_skip_test_maps("random"), 0.3, (12, 128))
+        assert len(calls) <= (64 + 3 * 129) // 2
 
 
 class TestModuliSeparation:
