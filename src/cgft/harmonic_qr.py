@@ -221,15 +221,15 @@ class BoundaryFunction1D:
     samples: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "samples", tuple(complex(c) for c in self.samples)
-        )
+        values = np.asarray(self.samples, dtype=complex)
+        if values.ndim != 1:
+            raise ValueError("samples must be a flat sequence")
+        object.__setattr__(self, "samples", tuple(values.tolist()))
         n = len(self.samples)
         if n < 8 or n & (n - 1):
             raise ValueError("sample count must be a power of two, at least 8")
-        for c in self.samples:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("samples must be finite")
+        if not np.isfinite(values).all():
+            raise ValueError("samples must be finite")
 
     @classmethod
     def from_callable(
@@ -422,9 +422,12 @@ def boundary_samples_of(f: HarmonicPlanarMap, n: int) -> BoundaryFunction1D:
 
     They come from ``f.on_polar_grid([1.0], n)``: the coefficients folded
     by m mod n and one inverse FFT, exact for a polynomial at the roots of
-    unity whatever the degree.
+    unity whatever the degree.  Samples that overflow are refused by
+    ``BoundaryFunction1D``.
     """
-    return BoundaryFunction1D(tuple(f.on_polar_grid([1.0], n)[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f.on_polar_grid([1.0], n)[0]
+    return BoundaryFunction1D(values)
 
 
 def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
@@ -614,7 +617,8 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
     subnormal steps and stays at or below the sup found so far; rounding
     moves a computed gap by a few ulps only, so the value is the same to
     the bit as a scan of every pair.  ``delta`` must be positive and
-    finite.
+    finite, and so must every grid value: a map whose folded FFT overflows
+    is refused, not scanned.
     """
     delta = _checked_delta(delta)
     pair = (grid, grid) if isinstance(grid, (int, np.integer)) else grid
@@ -622,7 +626,11 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
     if n_r < 2 or n_t < 8:
         raise ValueError("grid must provide at least 2 radii and 8 angles")
     radii = np.linspace(0.0, 1.0, n_r)
-    return _polar_sup(f.on_polar_grid(radii, n_t), radii, delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f.on_polar_grid(radii, n_t)
+    if not np.isfinite(values).all():
+        raise ValueError("grid values must be finite")
+    return _polar_sup(values, radii, delta)
 
 
 def modulus_profile(

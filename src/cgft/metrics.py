@@ -216,13 +216,35 @@ def _hyperplane_samples(n: int, m: int, extent: float) -> list[ExtendedPoint]:
     return pts
 
 
+def _norms(X) -> np.ndarray:
+    """``np.linalg.norm(X, axis=-1)`` to the bit, summed coordinate by coordinate.
+
+    numpy reduces fewer than 8 terms in order, so for n < 8 the running sum
+    of squares over the columns gives its bits without a reduction over the
+    short last axis; from 8 terms on it sums pairwise, so defer to it there.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[-1]
+    if n >= 8:
+        return np.linalg.norm(X, axis=-1)
+    s = X[..., 0] * X[..., 0]
+    for k in range(1, n):
+        s = s + X[..., k] * X[..., k]
+    return np.sqrt(s)
+
+
 def _segment_distance(X: np.ndarray) -> np.ndarray:
     # distance to the unit segment [0, e1]
     X = np.asarray(X, dtype=float)
     t = np.clip(X[..., 0], 0.0, 1.0)
     nearest = np.zeros_like(X)
     nearest[..., 0] = t
-    return np.linalg.norm(X - nearest, axis=-1)
+    return _norms(X - nearest)
+
+
+def _punctured_ball_distance(X: np.ndarray) -> np.ndarray:
+    r = _norms(X)
+    return np.minimum(r, 1.0 - r)
 
 
 def canonical_domain(name: str, n: int = 2, boundary_samples: int = 64) -> DomainSpec:
@@ -235,7 +257,7 @@ def canonical_domain(name: str, n: int = 2, boundary_samples: int = 64) -> Domai
     if name == "ball":
         return DomainSpec(
             dimension=n,
-            dist_to_boundary=lambda X: 1.0 - np.linalg.norm(X, axis=-1),
+            dist_to_boundary=lambda X: 1.0 - _norms(X),
             boundary_samples=tuple(_sphere_samples(n, boundary_samples)),
             diam=2.0,
             boundary_connected=True,
@@ -258,7 +280,7 @@ def canonical_domain(name: str, n: int = 2, boundary_samples: int = 64) -> Domai
     if name == "punctured_space":
         return DomainSpec(
             dimension=n,
-            dist_to_boundary=lambda X: np.linalg.norm(X, axis=-1),
+            dist_to_boundary=_norms,
             boundary_samples=(ExtendedPoint((0.0,) * n), INFINITY),
             diam=math.inf,
             boundary_connected=False,
@@ -269,10 +291,7 @@ def canonical_domain(name: str, n: int = 2, boundary_samples: int = 64) -> Domai
     if name == "punctured_ball":
         return DomainSpec(
             dimension=n,
-            dist_to_boundary=lambda X: np.minimum(
-                np.linalg.norm(X, axis=-1),
-                1.0 - np.linalg.norm(X, axis=-1),
-            ),
+            dist_to_boundary=_punctured_ball_distance,
             boundary_samples=(ExtendedPoint((0.0,) * n),)
             + tuple(_sphere_samples(n, boundary_samples)),
             diam=2.0,
@@ -286,10 +305,7 @@ def canonical_domain(name: str, n: int = 2, boundary_samples: int = 64) -> Domai
         e1 = np.array([1.0, 0.0])
         return DomainSpec(
             dimension=2,
-            dist_to_boundary=lambda X: np.minimum(
-                np.linalg.norm(X, axis=-1),
-                np.linalg.norm(X - e1, axis=-1),
-            ),
+            dist_to_boundary=lambda X: np.minimum(_norms(X), _norms(X - e1)),
             boundary_samples=(
                 ExtendedPoint((0.0, 0.0)),
                 ExtendedPoint((1.0, 0.0)),
@@ -565,21 +581,27 @@ def _segment_weights(D: DomainSpec, A: np.ndarray, B: np.ndarray, m: int) -> np.
     A segment counts only if its nodes p_j have d_j > 0 and consecutive
     nodes, h apart, satisfy h < d_j + d_{j+1}: the open balls B(p_j, d_j)
     then cover it, so it lies in D.  Any other segment weighs inf.
+
+    The nodes are laid out node-major, one (rows, n) block per j, so both
+    tests run elementwise across the m node rows; only the Simpson sum
+    goes back to one contiguous row per segment, where numpy's own sum
+    fixes the order of the additions.
     """
     ts = np.linspace(0.0, 1.0, m)
+    simpson = _simpson_weights(m)[:, None]
     diff = B - A
     # a batched dot reproduces each row's 1-D norm to the bit; norm(axis=1) does not
     h = np.sqrt(diff[:, None, :] @ diff[:, :, None]).reshape(-1) / (m - 1)
     out = np.empty(len(A))
     for lo in range(0, len(A), _QH_ROWS):
         rows = slice(lo, lo + _QH_ROWS)
-        P = A[rows, None, :] + ts[None, :, None] * diff[rows, None, :]
-        d = np.asarray(D.dist_to_boundary(P.reshape(-1, A.shape[1])), dtype=float).reshape(-1, m)
-        inside = np.all(d > 0.0, axis=1)
-        inside &= np.all(h[rows, None] < d[:, :-1] + d[:, 1:], axis=1)
+        P = A[None, rows] + ts[:, None, None] * diff[None, rows]
+        d = np.asarray(D.dist_to_boundary(P.reshape(-1, A.shape[1])), dtype=float).reshape(m, -1)
+        inside = np.all(d > 0.0, axis=0)
+        inside &= np.all(h[rows] < d[:-1] + d[1:], axis=0)
         with np.errstate(divide="ignore"):
-            w = h[rows] * np.sum(_simpson_weights(m) * (1.0 / d), axis=1)
-        out[rows] = np.where(inside, w, np.inf)
+            terms = np.ascontiguousarray((simpson * (1.0 / d)).T)
+        out[rows] = np.where(inside, h[rows] * np.sum(terms, axis=1), np.inf)
     return out
 
 
@@ -619,7 +641,7 @@ def _grid_shortest_path(
             edges.append(pair[np.all(pair >= 0, axis=-1)])
     # endpoints connect to nearby grid nodes and to each other directly
     for endpoint in (i_x, i_y):
-        dists = np.linalg.norm(V[:grid_count] - V[endpoint], axis=1)
+        dists = _norms(V[:grid_count] - V[endpoint])
         near = np.flatnonzero(dists <= 3.0 * spacing)
         edges.append(np.stack([np.full(near.size, endpoint), near], axis=1))
     src, dst = np.concatenate(edges).T
@@ -672,7 +694,11 @@ def quasihyperbolic_numeric(
     point, each 9 oracle points, plus Dijkstra on the resulting CSR arrays;
     a level-4 planar graph has about 10^5 segments.  Simpson nodes reach
     the oracle ``_QH_ROWS`` segments at a time, so beyond the O(segments)
-    graph the temporaries stay O(_QH_ROWS).  The grid doubles until two
+    graph the temporaries stay O(_QH_ROWS).  They are laid out node-major
+    and the canonical oracles sum squares coordinate by coordinate, so no
+    step but the Simpson sum reduces over a short axis; the weights then
+    take about a third of a level's time, and the lattice, CSR building
+    and the Python Dijkstra loop the rest.  The grid doubles until two
     successive values differ by less than tol.
     """
     if not (math.isfinite(tol) and tol > 0):

@@ -319,7 +319,10 @@ def builtin_chart(n: int = 2) -> TransferChart:
     Every domain constant an edge needs, ``cn_constant`` among them, is
     read from the DomainProps of the query.  For n >= 3 the
     ring-capacity functions are replaced by their enclosure ends chosen
-    so every edge remains a valid upper bound.
+    so every edge remains a valid upper bound.  The upper ring inverse
+    takes the enclosure's upper end in the plane too: ``tau2_inv(y)``
+    underflows to 0 for y above about 477, below the true inverse, and
+    the enclosure keeps a positive end there.
     """
     n = check_dimension(n)
 
@@ -329,10 +332,6 @@ def builtin_chart(n: int = 2) -> TransferChart:
 
         def tau_lo(s: float) -> float:
             return tau2(s)
-
-        @_decreasing_inverse(upper=True)
-        def tinv_hi(y: float) -> float:
-            return tau2_inv(y)
 
         @_decreasing_inverse(upper=False)
         def tinv_lo(y: float) -> float:
@@ -344,13 +343,13 @@ def builtin_chart(n: int = 2) -> TransferChart:
         def tau_lo(s: float) -> float:
             return tau_n_bounds(n, s).lo
 
-        @_decreasing_inverse(upper=True)
-        def tinv_hi(y: float) -> float:
-            return tau_n_inv_bounds(n, y).hi
-
         @_decreasing_inverse(upper=False)
         def tinv_lo(y: float) -> float:
             return tau_n_inv_bounds(n, y).lo
+
+    @_decreasing_inverse(upper=True)
+    def tinv_hi(y: float) -> float:
+        return tau_n_inv_bounds(n, y).hi
 
     omega_n = omega_sphere(n)
     log2 = math.log(2.0)

@@ -331,6 +331,19 @@ class TestPoissonDiskExtend:
         with pytest.raises(ValueError, match="samples must be finite"):
             BoundaryFunction1D(tuple(samples))
 
+    def test_array_samples_stored_as_python_complex(self):
+        values = HarmonicPlanarMap.shear(0.5).on_polar_grid([1.0], 64)[0]
+        phi = BoundaryFunction1D(values)
+        assert phi.samples == tuple(complex(c) for c in values)
+        assert all(type(c) is complex for c in phi.samples)
+        with pytest.raises(ValueError, match="flat"):
+            BoundaryFunction1D(values.reshape(8, 8))
+
+    def test_overflowing_boundary_samples_refused(self):
+        f = HarmonicPlanarMap((0, 1e308, 1e308), ())
+        with pytest.raises(ValueError, match="samples must be finite"):
+            boundary_samples_of(f, 64)
+
 
 class TestBoundaryModulus:
     def test_identity_at_exact_chord(self):
@@ -407,6 +420,12 @@ class TestClosedModulus:
             closed_modulus(f, delta, (21, 64))
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             modulus_profile(f, [0.1, delta], boundary_N=64)
+
+    def test_rejects_non_finite_grid_values(self):
+        # the folded FFT overflows; the scan of an inf grid returned inf
+        f = HarmonicPlanarMap((0, 1e308, 1e308), ())
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            closed_modulus(f, 0.1, (21, 64))
 
 
 def _all_pairs_sup(z: np.ndarray, F: np.ndarray, delta: float) -> float:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgft.harmonic_qr import polyline_interior_domain
 from cgft.metrics import (
@@ -32,7 +35,13 @@ from cgft.metrics import (
     r_ratio,
     seittenranta,
 )
-from cgft.metrics import _grid_shortest_path, _simpson_weights
+from cgft.metrics import (
+    _QH_ROWS,
+    _grid_shortest_path,
+    _norms,
+    _segment_weights,
+    _simpson_weights,
+)
 from cgft.special_functions import gamma2, tau2, teichmuller_p_circle
 
 RNG = np.random.default_rng(0)
@@ -468,6 +477,16 @@ class TestQuasihyperbolicNumeric:
             quasihyperbolic_numeric(punctured_plane, (1.0, 0.0), (2.0, 0.0), tol)
 
 
+def segment_weight(D, a, b, m):
+    """One segment's Simpson value on its own: one oracle call on its m
+    nodes, one 1-D norm, and inf unless the node balls cover it."""
+    d = D.dist_to_boundary(a + np.linspace(0.0, 1.0, m)[:, None] * (b - a))
+    h = float(np.linalg.norm(b - a)) / (m - 1)
+    if np.all(d > 0.0) and np.all(h < d[:-1] + d[1:]):
+        return h * np.sum(_simpson_weights(m) * (1.0 / d))
+    return math.inf
+
+
 def loop_grid_path(D, ax, ay, level):
     """The quasihyperbolic grid graph built one segment at a time, kept as
     the reference for the array kernel: a dict lattice, one oracle call and
@@ -489,11 +508,8 @@ def loop_grid_path(D, ax, ay, level):
     adj = [[] for _ in pts]
 
     def connect(i, k, m):
-        a, b = pts[i], pts[k]
-        d = D.dist_to_boundary(a + np.linspace(0.0, 1.0, m)[:, None] * (b - a))
-        h = float(np.linalg.norm(b - a)) / (m - 1)
-        if np.all(d > 0.0) and np.all(h < d[:-1] + d[1:]):
-            w = h * np.sum(_simpson_weights(m) * (1.0 / d))
+        w = segment_weight(D, pts[i], pts[k], m)
+        if w < math.inf:
             adj[i].append((k, w))
             adj[k].append((i, w))
 
@@ -547,6 +563,16 @@ GRAPH_CASES = [
 ]
 
 
+# every canonical domain at n = 2 and 3, and the signed-distance L-shape,
+# each with a box of segment starts that straddles its boundary
+SEGMENT_CASES = [
+    pytest.param(lambda name=name, n=n: canonical_domain(name, n), (-1.5, 1.5), id=f"{name}-{n}")
+    for name in CANONICAL_DOMAIN_NAMES
+    for n in (2, 3)
+    if (name, n) != ("plane_minus_0_1", 3)
+] + [pytest.param(l_shape, (-0.5, 2.5), id="L-shaped polyline")]
+
+
 def plane_minus_line():
     """R^2 minus the line x_2 = 0; the graph must never step across it."""
     return DomainSpec(
@@ -578,6 +604,27 @@ class TestQuasihyperbolicGraph:
         with pytest.raises(ConnectivityError):
             quasihyperbolic_numeric(plane_minus_line(), x, y)
 
+    def test_level_3_spans_several_chunks(self):
+        # 12,102 segments on the 65 x 65 lattice: the Simpson nodes reach
+        # the oracle in three full _QH_ROWS blocks and a partial one
+        D, ax, ay = canonical_domain("ball", 2), np.array([0.2, 0.1]), np.array([-0.4, 0.3])
+        expected = loop_grid_path(D, ax, ay, 3)
+        assert expected is not None
+        assert _grid_shortest_path(D, ax, ay, 3) == expected
+
+    @pytest.mark.parametrize("m", [9, 257])
+    @pytest.mark.parametrize("make,box", SEGMENT_CASES)
+    def test_segment_weights_match_per_segment_evaluation(self, make, box, m):
+        D = make()
+        rng = np.random.default_rng(m)
+        count = _QH_ROWS + 37  # more than one block, the last one partial
+        A = rng.uniform(*box, size=(count, D.dimension))
+        B = A + rng.uniform(-0.4, 0.4, size=A.shape)
+        got = _segment_weights(D, A, B, m)
+        expected = np.array([segment_weight(D, a, b, m) for a, b in zip(A, B)])
+        assert np.isfinite(expected).any()
+        assert got.tobytes() == expected.tobytes()
+
     def test_memory_of_a_level_4_graph(self):
         import tracemalloc
 
@@ -593,6 +640,34 @@ class TestQuasihyperbolicGraph:
         # this kernel at 14.3 MiB (numpy 2.4, CPython 3.11); Simpson nodes
         # are taken _QH_ROWS segments at a time, so they add O(1) to this
         assert peak < 16 * 2**20
+
+
+def assert_norms_equal_numpy_norm(X):
+    with np.errstate(over="ignore"):
+        expected = np.asarray(np.linalg.norm(X, axis=-1))
+        got = np.asarray(_norms(X))
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+LEADING_SHAPES = st.sampled_from([(), (1,), (5,), (3, 4)])
+
+
+@given(st.integers(2, 12), LEADING_SHAPES, st.integers(-1075, 1023), st.integers(0, 2**32 - 1))
+def test_norms_match_numpy_on_one_scale(n, lead, exponent, seed):
+    # generic coordinates of one magnitude, where the order of the additions
+    # shows in the last bit, scaled anywhere from subnormal to huge
+    X = np.random.default_rng(seed).uniform(-4.0, 4.0, lead + (n,))
+    with np.errstate(over="ignore"):
+        X = X * 2.0**exponent
+    assert_norms_equal_numpy_norm(X)
+
+
+@given(st.integers(2, 12), LEADING_SHAPES, st.data())
+def test_norms_match_numpy_on_mixed_scales(n, lead, data):
+    extremes = [5e-324, -1e-310, 2.2250738585072014e-308, 1e-160, 1e154, -1e200, 1.7976931348623157e308]
+    coords = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(extremes)
+    assert_norms_equal_numpy_norm(data.draw(hnp.arrays(np.float64, lead + (n,), elements=coords)))
 
 
 class TestMuBallCenter:

@@ -291,6 +291,17 @@ class TestQuery:
         res = query(builtin_chart(n), frm, to, ALL_PROPS, t)
         assert res is None or res.value >= 0.0
 
+    @given(
+        st.sampled_from(list(MetricId)),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_planar_ring_inverse_answers_stay_positive(self, chart, to, t):
+        # tau2_inv(y) underflows to 0 for y above about 477, below every
+        # true inverse; the upper ring inverse must keep a positive end
+        for props in (BARE, ALL_PROPS):
+            res = query(chart, LI, to, props, t)
+            assert res is None or res.value > 0.0
+
 
 CHARTS = {n: builtin_chart(n) for n in (2, 3)}
 FACTS = {
