@@ -24,6 +24,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -443,8 +444,8 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     if len(pts) <= 2:
         return pts
 
-    def half(chain_pts: np.ndarray) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
+    def half(chain_pts: list[list[float]]) -> list[list[float]]:
+        out: list[list[float]] = []
         for p in chain_pts:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
@@ -455,41 +456,36 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    rows = pts.tolist()  # Python floats: the same doubles, without numpy scalars
+    lower = half(rows)
+    upper = half(rows[::-1])
     return np.asarray(lower[:-1] + upper[:-1])
 
 
-#: relative widening of the squared-norm screen in _in_annuli, far above
-#: the rounding gap between x*x + y*y and hypot(x, y)**2
-_SCREEN_MARGIN = 1e-9
-
-
-def _square_window(lo: float, hi: float) -> tuple[float, float]:
-    """Squared-norm bounds holding every point whose hypot lies in [lo, hi].
-
-    The absolute 1e-300 covers squares that underflow.
+def _polar_window(
+    in1: float, out1: float, in2: float, out2: float
+) -> tuple[float, float, float]:
+    """(rho_lo, theta_lo, theta_hi): the lens lies in rho_lo <= |p| <= out1,
+    theta_lo <= |arg p| <= theta_hi.  On |p| = rho, |p - e1| <= R holds for
+    |arg p| up to the angle where the two circles meet.  It grows with R; over
+    rho it is least at an end of [rho_lo, out1] and greatest there or at
+    sqrt(1 - R^2).  Its half angle has sin^2 = (R^2 - (rho - 1)^2)/(4 rho),
+    taken in exact rationals with cos^2 = 1 - sin^2, so that it stays accurate
+    where the circles nearly touch; the window is widened by a relative hair.
     """
-    lo2 = max(lo * (1.0 - _SCREEN_MARGIN), 0.0) ** 2 - 1e-300
-    return lo2, (hi * (1.0 + _SCREEN_MARGIN)) ** 2 + 1e-300
 
+    def angle(rho: float, R: float) -> float:  # the limit at rho = 0
+        if rho == 0.0:
+            return 0.0 if R < 1.0 else math.pi if R > 1.0 else 0.5 * math.pi
+        q, S = Fraction(rho), Fraction(R)
+        s2 = min(max((S * S - (q - 1) ** 2) / (4 * q), 0), 1)  # in [0, 1]: no overflow
+        return 2.0 * math.atan2(math.sqrt(s2), math.sqrt(1 - s2))
 
-def _in_annuli(
-    px: np.ndarray, py: np.ndarray, in1: float, out1: float, in2: float, out2: float
-) -> np.ndarray:
-    """Indices of the points with |p| in [in1, out1] and |p - e1| in [in2, out2].
-
-    np.hypot decides, exactly as a plain hypot test would; a widened
-    squared-norm screen first drops the points that are clearly outside.
-    """
-    lo1, hi1 = _square_window(in1, out1)
-    lo2, hi2 = _square_window(in2, out2)
-    s1 = px * px + py * py
-    s2 = (px - 1.0) ** 2 + py * py
-    idx = np.flatnonzero((s1 >= lo1) & (s1 <= hi1) & (s2 >= lo2) & (s2 <= hi2))
-    d1 = np.hypot(px[idx], py[idx])
-    d2 = np.hypot(px[idx] - 1.0, py[idx])
-    return idx[(d1 <= out1) & (d1 >= in1) & (d2 <= out2) & (d2 >= in2)]
+    lo = max(in1, 0.0)
+    mid = min(max(math.sqrt(max((1.0 - out2) * (1.0 + out2), 0.0)), lo), out1)
+    theta_lo = min(angle(rho, max(in2, 0.0)) for rho in (lo, out1))
+    theta_hi = max(angle(rho, out2) for rho in (lo, mid, out1))
+    return lo, theta_lo * (1.0 - 2.0**-48), min(theta_hi * (1.0 + 2.0**-48), math.pi)
 
 
 def lens_diam_brute(
@@ -497,38 +493,41 @@ def lens_diam_brute(
 ) -> float:
     """Monte-Carlo lower estimate of the lens-set diameter.
 
-    Rejection-samples up to N points uniformly from the intersection of
-    the two planar annuli around the circles through x (centers 0 and e1,
-    widths 2 eps) and returns the maximum pairwise distance, computed via
-    the convex hull.  Deterministic for a fixed seed.  If the region
-    yields no points after 100 N proposals the diameter is reported as 0.
-    ``lens_diam_exact`` is the exact counterpart; this estimate is a
-    witness that stays below it up to rounding.
+    Rejection-samples up to N points uniformly from the lens {p : |p| in
+    [r1 - eps, r1 + eps], |p - e1| in [r2 - eps, r2 + eps]}, as np.hypot
+    decides, and returns their largest distance, over the convex hull.  The
+    proposals, at most 100 N, are uniform on the lens's ``_polar_window``,
+    so the accepted points are uniform on the lens and the estimate is a
+    witness that stays below ``lens_diam_exact`` up to rounding.  It is 0
+    with fewer than two points accepted, and where an annulus has no width
+    in floating point (r - eps == r + eps): hypot's rounding alone would
+    admit points there, up to about 2.4e-8 from the set near a tangency.
     """
     if N < 10**4:
         raise ValueError("lens_diam_brute needs N >= 10^4 samples")
-    if not eps > 0.0:
-        raise ValueError("lens_diam_brute needs eps > 0")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("lens_diam_brute needs finite eps > 0")
     _, _, r1, r2 = _lens_radii(x)
     out1, in1 = r1 + eps, r1 - eps
     out2, in2 = r2 + eps, r2 - eps
-    xlo, xhi = max(-out1, 1.0 - out2), min(out1, 1.0 + out2)
-    ylo, yhi = max(-out1, -out2), min(out1, out2)
-    if xlo >= xhi or ylo >= yhi:
+    if in1 == out1 or in2 == out2:
         return 0.0
+    lo, theta_lo, theta_hi = _polar_window(in1, out1, in2, out2)
     rng = np.random.default_rng(seed)
     budget = 100 * N
     accepted: list[np.ndarray] = []
     got = 0
     while budget > 0 and got < N:
         batch = min(budget, 1 << 16)
-        px = rng.uniform(xlo, xhi, batch)
-        py = rng.uniform(ylo, yhi, batch)
-        idx = _in_annuli(px, py, in1, out1, in2, out2)
-        if idx.size:
-            keep = np.column_stack((px[idx], py[idx]))[: N - got]
-            accepted.append(keep)
-            got += len(keep)
+        rho = out1 * np.sqrt(rng.uniform((lo / out1) ** 2, 1.0, batch))
+        u = rng.uniform(-1.0, 1.0, batch)
+        theta = np.copysign(theta_lo, u) + u * (theta_hi - theta_lo)
+        px, py = rho * np.cos(theta), rho * np.sin(theta)
+        d1, d2 = np.hypot(px, py), np.hypot(px - 1.0, py)
+        hit = (d1 <= out1) & (d1 >= in1) & (d2 <= out2) & (d2 >= in2)
+        keep = np.column_stack((px[hit], py[hit]))[: N - got]
+        accepted.append(keep)
+        got += len(keep)
         budget -= batch
     if got < 2:
         return 0.0

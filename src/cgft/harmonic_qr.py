@@ -726,9 +726,11 @@ def poisson_ball3(
     t1, t2 = _orthonormal_frame(axis)
     u, w_u = _polar_rule(r, int(quad_N), graded)
     sin_polar = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-    kernel = (1.0 - r * r) / (1.0 + r * r - 2.0 * r * u) ** 1.5
+    # |x - xi|^2 = 1 + r^2 - 2 r u, written so that it does not cancel to 0
+    # near the kernel peak; a NaN mass fails the check below
+    kernel = (1.0 - r * r) / ((1.0 - r) ** 2 + 2.0 * r * (1.0 - u)) ** 1.5
     mass = float(np.sum(w_u * kernel)) / 2.0
-    if abs(mass - 1.0) > 1e-4:
+    if not abs(mass - 1.0) <= 1e-4:
         raise QuadratureAccuracyError(
             f"kernel mass {mass:.6g} misses 1 by more than 1e-4 at |x| = {r:.6g}"
         )

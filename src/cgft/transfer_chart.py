@@ -296,17 +296,19 @@ def _decreasing_inverse(
     or vanishing bound gives a limit instead of raising.
 
     y = inf stands for a value past DBL_MAX, whose inverse lies in
-    (0, inv(DBL_MAX)): an upper end takes inv(DBL_MAX) rounded up, a lower
-    end the limit 0.
+    (0, inv(DBL_MAX)): a lower end takes the limit 0, an upper end
+    inv(DBL_MAX) as it is.  An upper inv already returns an upper end at
+    DBL_MAX, and every larger argument has a smaller inverse, so rounding it
+    up once more would only loosen the bound.
     """
 
     def extend(inv: Callable[[float], float]) -> Callable[[float], float]:
         def inverse(y: float) -> float:
             if y == 0.0:
                 return math.inf
-            if y == math.inf and not upper:
-                return 0.0
-            return _falling_hi(inv, y)
+            if y == math.inf:
+                return inv(sys.float_info.max) if upper else 0.0
+            return inv(y)
 
         return inverse
 

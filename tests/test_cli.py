@@ -167,6 +167,14 @@ class TestChartCommand:
         assert code == 0
         assert out.splitlines()[0] == "inf"
 
+    def test_query_ring_inverse_past_double_range(self, capsys):
+        # 1 / (sqrt 2 t) overflows; the upper end at DBL_MAX is taken as it is
+        code, out, _ = run_cli(
+            capsys, "chart", "query", "--from", "lambda_inv", "--to", "j", "--t", "1e-323"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "4.9406564584124654e-324"
+
     @pytest.mark.parametrize(
         "flag", [["--cn", "inf"], ["--uniform-c", "inf"], ["--diam", "inf"], ["--qed-c", "nan"]]
     )
@@ -325,6 +333,14 @@ class TestDistortCommand:
         )
         assert code == 2
         assert "error" in err.lower()
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0"])
+    def test_lens_brute_refuses_bad_eps(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys, "distort", "lens-brute", "--x", "-0.5", "0", "--eps", eps
+        )
+        assert code == 2 and out == ""
+        assert "lens_diam_brute needs finite eps > 0" in err
 
     def test_lens_exact_is_the_corner_distance(self, capsys):
         # x = -1: the corners |p| = 1.01, |p - e1| = 1.99 sit at Re p = -0.97,

@@ -347,8 +347,20 @@ class TestLensBounds:
         assert d_small == pytest.approx(0.9, abs=0.05)
 
     def test_brute_empty_region_signals_zero(self):
-        # sliver so thin that no proposal lands inside the budget
-        assert lens_diam_brute((-0.5, 0.0), 1e-12, 10**4, seed=0) == 0.0
+        # r - eps == r + eps: the annuli have no width in floating point
+        for x in ((-0.5, 0.0), (0.6, 0.45)):
+            assert lens_diam_brute(x, 1e-300, 10**4, seed=0) == 0.0
+
+    def test_brute_finds_the_thin_sliver(self):
+        # the circles touch at x; a sliver 2e-12 wide and about 3.5e-6 long
+        # lies along the tangent, and the polar window proposes inside it
+        x, eps = (-0.5, 0.0), 1e-12
+        assert 0.0 < lens_diam_brute(x, eps, 10**4, seed=0) <= lens_diam_exact(x, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
+    def test_brute_refuses_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="lens_diam_brute needs finite eps > 0"):
+            lens_diam_brute((-0.5, 0.0), eps, 10**4)
 
     def test_complex_input_accepted(self):
         assert lens_diam_bound_sqrt(complex(-0.6, 0.8), 0.01) == pytest.approx(0.8)
@@ -394,15 +406,21 @@ def crescent(rng, k):
     return p[:k] @ rot.T
 
 
-def hypot_hits(px, py, in1, out1, in2, out2):
-    """The plain hypot acceptance test of the lens sampler (reference)."""
-    d1 = np.hypot(px, py)
-    d2 = np.hypot(px - 1.0, py)
-    return np.flatnonzero((d1 <= out1) & (d1 >= in1) & (d2 <= out2) & (d2 >= in2))
+def box_hits(x, eps, n, rng):
+    """n proposals uniform on the bounding box of the two outer disks, kept
+    by the hypot test of the lens (reference sampler)."""
+    r1, r2 = math.hypot(x[0], x[1]), math.hypot(x[0] - 1.0, x[1])
+    out1, in1, out2, in2 = r1 + eps, r1 - eps, r2 + eps, r2 - eps
+    px = rng.uniform(max(-out1, 1.0 - out2), min(out1, 1.0 + out2), n)
+    py = rng.uniform(-min(out1, out2), min(out1, out2), n)
+    d1, d2 = np.hypot(px, py), np.hypot(px - 1.0, py)
+    hit = (d1 <= out1) & (d1 >= in1) & (d2 <= out2) & (d2 >= in2)
+    return px[hit], py[hit]
 
 
 class TestLensKernels:
-    """The hull prefilter and the sampler's screen against plain versions."""
+    """The hull prefilter and the sampler's proposal window against plain
+    versions."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hull_matches_plain_chain_on_crescents(self, seed):
@@ -434,39 +452,22 @@ class TestLensKernels:
         for pts in (grid, copies[rng.permutation(len(copies))]):
             assert np.array_equal(ds._convex_hull(pts), plain_chain(pts))
 
-    @pytest.mark.parametrize(
-        "bounds",
-        [(0.6, 0.8, 0.5, 0.7), (6e-161, 8e-161, 1.0, 1.0)],
-        ids=["unit scale", "squares underflow"],
-    )
-    def test_screen_keeps_points_on_the_rims(self, bounds):
-        # points a few ulps inside and outside each of the four rim circles
-        in1, out1, in2, out2 = bounds
-        ang = np.linspace(0.0, 2.0 * math.pi, 97)
-        pts = []
-        for cx, r in ((0.0, in1), (0.0, out1), (1.0, in2), (1.0, out2)):
-            for k in range(-3, 4):
-                rr = r * (1.0 + k * 2.0**-52)
-                pts.append(np.column_stack((cx + rr * np.cos(ang), rr * np.sin(ang))))
-        px, py = np.concatenate(pts).T
-        want = hypot_hits(px, py, *bounds)
-        assert want.size > 0
-        assert np.array_equal(ds._in_annuli(px, py, *bounds), want)
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_brute_accepts_the_hypot_points(self, seed, monkeypatch):
-        real, batches = ds._in_annuli, []
-
-        def checked(px, py, *bounds):
-            got = real(px, py, *bounds)
-            assert np.array_equal(got, hypot_hits(px, py, *bounds))
-            batches.append(len(got))
-            return got
-
-        monkeypatch.setattr(ds, "_in_annuli", checked)
-        for i, cfg in enumerate(lens_admissible_configs(100, seed)):
-            lens_diam_brute(cfg["x"], cfg["eps"], 10**4, seed=seed + i)
-        assert len(batches) >= 100 and sum(batches) > 0
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_polar_window_holds_every_box_hit(self, seed):
+        cases = [(cfg["x"], cfg["eps"]) for cfg in lens_admissible_configs(100, seed)]
+        # |x| < eps (no inner circle about 0), |x - e1| < eps as well, and
+        # |x| = eps with |x - e1| + eps = 1, where the meeting angle tends to pi/2
+        cases += [((0.2, 0.1), 0.3), ((3.0, 0.5), 2.5), ((0.0, 1.0), 0.5)]
+        cases += [((0.25, 0.0), 0.25)]
+        rng, total = np.random.default_rng(seed), 0
+        for x, eps in cases:
+            px, py = box_hits(x, eps, 1 << 14, rng)
+            r1, r2 = math.hypot(x[0], x[1]), math.hypot(x[0] - 1.0, x[1])
+            _, theta_lo, theta_hi = ds._polar_window(r1 - eps, r1 + eps, r2 - eps, r2 + eps)
+            theta = np.abs(np.arctan2(py, px))
+            assert np.all((theta >= theta_lo) & (theta <= theta_hi)), (x, eps)
+            total += px.size
+        assert total > 10**5
 
 
 def caliper_diameter(hull):
@@ -549,11 +550,33 @@ class TestLensDiamExact:
         assert lens_diam_exact((0.0, 1.0), 0.5) == 3.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_brute_is_a_witness(self, seed):
+    def test_brute_is_a_witness(self, seed, monkeypatch):
+        # every config fills its N points within the 100 N proposals, and the
+        # estimate comes within 5 % of the exact diameter without passing it
+        real, sizes = ds._convex_hull, []
+
+        def counted(points):
+            sizes.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(ds, "_convex_hull", counted)
         for i, cfg in enumerate(lens_admissible_configs(100, seed)):
             exact = lens_diam_exact(cfg["x"], cfg["eps"])
             brute = lens_diam_brute(cfg["x"], cfg["eps"], 10**4, seed=seed + i)
-            assert brute <= exact * (1.0 + 1e-12), (seed, i)
+            assert 0.95 * exact <= brute <= exact * (1.0 + 1e-12), (seed, i)
+        assert sizes == [10**4] * 100
+
+    @pytest.mark.parametrize(
+        "x",
+        [(-0.5, 0.0), (0.5, 0.0), (-1.0, 0.0), (0.6, 0.45), (0.3, -0.2), (1.7, 0.9),
+         (-2.0, 3.0), (0.2, 0.1)],
+    )
+    def test_brute_is_a_witness_on_thin_lenses(self, x):
+        # down to annuli a few ulps wide, where hypot's rounding alone admits
+        # points past the tips of a tangent sliver, and on to no width at all
+        for eps in np.geomspace(1e-3, 1e-300, 150):
+            exact = lens_diam_exact(x, float(eps))
+            assert lens_diam_brute(x, float(eps), 10**4) <= exact * (1.0 + 1e-12), eps
 
     def test_brute_approaches_exact(self):
         cfg = lens_admissible_configs(100, 0)[0]

@@ -676,6 +676,14 @@ class TestPoissonBall3:
         with pytest.raises(QuadratureAccuracyError):
             poisson_ball3(phi, [0.0, 0.0, 0.99], 64, graded=False)
 
+    def test_refuses_rather_than_nan_next_to_the_sphere(self):
+        # 1 + r^2 - 2 r u cancels to 0 at the kernel peak here; the rule
+        # cannot resolve the peak, so the mass check must refuse, with no
+        # RuntimeWarning (the suite turns warnings into errors)
+        phi = SphereBoundaryFunction(lambda xi: xi, 1.0)
+        with pytest.raises(QuadratureAccuracyError):
+            poisson_ball3(phi, [0.0, 0.0, 1.0 - 1e-9])
+
     def test_tangential_derivative_of_identity_is_unit(self):
         phi = SphereBoundaryFunction(lambda xi: xi, 1.0)
         for r in (0.9, 0.99, 0.999):

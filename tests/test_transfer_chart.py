@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cgft.special_functions import gamma2, omega_sphere, tau2
+from cgft.special_functions import gamma2, omega_sphere, tau2, tau_n_inv_bounds
 from cgft.transfer_chart import (
     DomainProps,
     MetricId,
@@ -276,10 +277,19 @@ class TestQuery:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ring_inverse_past_double_range(self, n):
-        # 1 / (sqrt 2 t) overflows; the inverse at DBL_MAX, rounded up,
-        # bounds the answer from above, where the limit 0 would not
+        # 1 / (sqrt 2 t) overflows; the upper inverse end at DBL_MAX bounds
+        # the answer from above, where the limit 0 would not
         res = query(builtin_chart(n), LI, J, BARE, 1e-310)
         assert res.value > 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_inverse_past_double_range_is_the_end_at_dbl_max(self, n):
+        # tau_n_inv_bounds(n, DBL_MAX).hi is already an upper end for every
+        # larger argument, so it is taken as it is, not one step higher
+        res = query(builtin_chart(n), LI, J, BARE, 1e-323)
+        assert res.value == math.log1p(tau_n_inv_bounds(n, sys.float_info.max).hi)
+        if n == 2:
+            assert res.value == 5e-324  # the planar end is the least subnormal
 
     @given(
         st.sampled_from([2, 3, 4]),
