@@ -371,6 +371,9 @@ def _lens_radii(x: complex | Sequence[float]) -> tuple[float, float, float, floa
         raise ValueError("the lens construction needs a finite x")
     r1 = math.hypot(px, py)
     r2 = math.hypot(px - 1.0, py)
+    r = max(r1, r2)
+    if not math.isfinite(r * r):  # the lens formulas square the radii
+        raise ValueError("the lens construction needs |x|^2 and |x - e1|^2 finite")
     if r1 == 0.0 or r2 == 0.0:
         raise ValueError("the lens construction needs x distinct from 0 and e1")
     return px, py, r1, r2
@@ -533,7 +536,7 @@ def lens_diam_brute(
         return 0.0
     hull = _convex_hull(np.concatenate(accepted))
     diff = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=-1)).max())
+    return float(np.hypot(diff[..., 0], diff[..., 1]).max())
 
 
 def lens_diam_exact(x: complex | Sequence[float], eps: float) -> float:

@@ -78,6 +78,13 @@ class TestMetricCommand:
         assert code == 0
         assert float(out) == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_half_space_quasihyperbolic_of_close_points(self, capsys):
+        # the closed form printed 0 here while j printed 9.99999995e-09
+        point_args = ("--domain", "half_space", "--x", "0", "1", "--y", "1e-8", "1")
+        _, k_out, _ = run_cli(capsys, "metric", "--metric", "quasihyperbolic", *point_args)
+        _, j_out, _ = run_cli(capsys, "metric", "--metric", "j", *point_args)
+        assert float(k_out) >= float(j_out) > 0.0
+
     def test_numeric_quasihyperbolic_ball(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -365,6 +372,14 @@ class TestDistortCommand:
         )
         assert code == 2 and out == ""
         assert "finite x" in err
+
+    @pytest.mark.parametrize("op", ["lens-exact", "lens-brute"])
+    def test_lens_refuses_x_whose_squared_radius_overflows(self, capsys, op):
+        code, out, err = run_cli(
+            capsys, "distort", op, "--x", "1e308", "1e308", "--eps", "0.01"
+        )
+        assert code == 2 and out == ""
+        assert "lens construction" in err
 
 
 class TestHarmonicCommand:

@@ -357,6 +357,18 @@ class TestLensBounds:
         x, eps = (-0.5, 0.0), 1e-12
         assert 0.0 < lens_diam_brute(x, eps, 10**4, seed=0) <= lens_diam_exact(x, eps)
 
+    def test_brute_diameter_does_not_overflow(self):
+        # the lens spans about 2e200: squaring the raw hull differences
+        # overflowed, while hypot keeps them in range
+        import warnings
+
+        x, eps = (-0.5, 0.0), 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            brute = lens_diam_brute(x, eps, 10**4, seed=0)
+        assert 1e200 < brute < math.inf
+        assert brute <= lens_diam_exact(x, eps)
+
     @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
     def test_brute_refuses_bad_eps(self, eps):
         with pytest.raises(ValueError, match="lens_diam_brute needs finite eps > 0"):
@@ -618,10 +630,19 @@ class TestLensDiamExact:
             lens_window,
         ],
     )
-    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.5, math.inf), (0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "x", [(math.nan, 0.0), (0.5, math.inf), (0.0, 0.0), (1e308, 1e308), (-1.4e154, 0.0)]
+    )
     def test_refuses_bad_x(self, fn, x):
+        # the last two have squared radii past the double range, where
+        # lens_diam_exact read inf and lens_diam_brute 0
         with pytest.raises(ValueError, match="lens construction"):
             fn(x)
+
+    @pytest.mark.parametrize("x", [(-1.3e154, 0.0), (0.9e154, 0.9e154)])
+    def test_largest_accepted_x_has_a_finite_diameter(self, x):
+        r = math.hypot(*x)
+        assert lens_diam_exact(x, 0.01) == pytest.approx(2.0 * r, rel=1e-12)
 
 
 class TestEpsToK:

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -393,6 +394,25 @@ class TestQuasihyperbolicExact:
         v = quasihyperbolic_exact("half_space", (0.0, 1.0), (0.0, math.e))
         assert v == pytest.approx(1.0, rel=1e-13)
 
+    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_half_space_close_points_match_mpmath(self, s):
+        # the acosh form cancelled here: 3e-9 relative error at s = 1e-4, 0.0 at 1e-8
+        with mp.workdps(60):
+            exact = float(mp.acosh(1 + mp.mpf(s) ** 2 / 2))
+        v = quasihyperbolic_exact("half_space", (0.0, 1.0), (s, 1.0))
+        assert v == pytest.approx(exact, rel=4e-16)
+
+    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6, 1e-8, 1e-12])
+    def test_half_space_dominates_j(self, s):
+        D = canonical_domain("half_space", 2)
+        x, y = (0.0, 1.0), (s, 1.0 + s)
+        assert quasihyperbolic_exact("half_space", x, y) >= j_metric(D, x, y) > 0.0
+
+    def test_half_space_tiny_gap_is_positive(self):
+        # k = 2 asinh(s / 2) rounds to s; the gap is not squared, so it
+        # does not underflow
+        assert quasihyperbolic_exact("half_space", (0.0, 1.0), (1e-300, 1.0)) == 1e-300
+
     def test_rotation_invariance_punctured(self):
         theta = 1.1
         R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
@@ -487,18 +507,25 @@ def segment_weight(D, a, b, m):
     return math.inf
 
 
-def loop_grid_path(D, ax, ay, level):
-    """The quasihyperbolic grid graph built one segment at a time, kept as
-    the reference for the array kernel: a dict lattice, one oracle call and
-    one 1-D norm per segment, the same acceptance rule, Dijkstra on lists."""
-    n = D.dimension
-    N = (8 if n == 2 else 4) * 2**level
+def lattice_axes(D, ax, ay, level):
+    """The level's lattice, N + 1 points a side of a cube about the pair's
+    midpoint 3.2 max(|x - y|, d(x), d(y)) wide, and its spacing."""
+    N = (8 if D.dimension == 2 else 4) * 2**level
     gap = float(np.linalg.norm(ax - ay))
     half = 1.6 * max(gap, D.boundary_distance(ax), D.boundary_distance(ay))
-    spacing = 2.0 * half / N
     axes = [np.linspace(c - half, c + half, N + 1) for c in 0.5 * (ax + ay)]
+    return axes, 2.0 * half / N
+
+
+def loop_grid_path(D, ax, ay, level):
+    """The quasihyperbolic grid graph built one segment at a time, kept as
+    the reference for the array kernel: a dict lattice with every point in
+    D, one oracle call and one 1-D norm per segment, the same acceptance
+    rule, Dijkstra on lists."""
+    n = D.dimension
+    axes, spacing = lattice_axes(D, ax, ay, level)
     ids, pts = {}, []
-    for key in np.ndindex(*([N + 1] * n)):
+    for key in np.ndindex(*([len(axes[0])] * n)):
         p = np.array([axes[j][i] for j, i in enumerate(key)])
         if D.dist_to_boundary(p) > 0.0:
             ids[key] = len(pts)
@@ -582,10 +609,27 @@ def plane_minus_line():
     )
 
 
+def counted(D):
+    """D with an oracle that records how many points each call asks about."""
+    sizes = []
+
+    def oracle(X):
+        sizes.append(np.size(X) // D.dimension)
+        return D.dist_to_boundary(X)
+
+    return D.with_flags(dist_to_boundary=oracle), sizes
+
+
+# (domain, n, level): seeded pairs with |x - y| between d(x) / 2 and d(x),
+# for which the bound keeps 5-31 % of the lattice points in D, at levels
+# where the per-segment graph is quick
+PRUNED_CASES = [("ball", 2, 2), ("punctured_space", 2, 2), ("ball", 3, 1), ("half_space", 3, 1)]
+
+
 class TestQuasihyperbolicGraph:
     """The array kernel against the per-segment graph it replaced."""
 
-    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     @pytest.mark.parametrize("label,make,x,y", GRAPH_CASES, ids=[c[0] for c in GRAPH_CASES])
     def test_matches_per_segment_loop(self, label, make, x, y, level):
         D, ax, ay = make(), np.array(x), np.array(y)
@@ -604,13 +648,45 @@ class TestQuasihyperbolicGraph:
         with pytest.raises(ConnectivityError):
             quasihyperbolic_numeric(plane_minus_line(), x, y)
 
+    @pytest.mark.parametrize("name,n,level", PRUNED_CASES)
+    def test_matches_loop_where_the_bound_prunes_most(self, name, n, level):
+        D = canonical_domain(name, n)
+        rng = np.random.default_rng(21)
+        for _ in range(2):
+            ax = rng.uniform(-0.4, 0.4, n)
+            if name == "half_space":
+                ax[-1] += 1.0
+            u = rng.normal(size=n)
+            ay = ax + rng.uniform(0.5, 1.0) * D.boundary_distance(ax) * u / np.linalg.norm(u)
+            spy, sizes = counted(D)
+            assert _grid_shortest_path(spy, ax, ay, level) == loop_grid_path(D, ax, ay, level)
+            axes, _ = lattice_axes(D, ax, ay, level)
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+            inside = np.count_nonzero(D.dist_to_boundary(grid) > 0.0)
+            # beside the lattice, the oracle sees both endpoints, the direct
+            # edge's 257 nodes and 9 nodes per other segment; the unpruned
+            # graph has about 6 segments per point in D (16 in space)
+            segments = (sum(sizes) - 2 - 257 - len(grid)) / 9
+            assert segments < {2: 6, 3: 16}[n] * inside / 4
+
+    def test_pruning_cuts_the_oracle_points_of_a_ball_pair(self):
+        # the unpruned level-2 graph of this pair asked the oracle about
+        # 28,105 points, 26,757 of them the Simpson nodes of 2,973 segments
+        D, sizes = counted(canonical_domain("ball", 2))
+        _grid_shortest_path(D, np.array([0.2, 0.1]), np.array([-0.4, 0.3]), 2)
+        assert sizes == [1, 1, 257, 33**2, 9 * 382]
+
     def test_level_3_spans_several_chunks(self):
-        # 12,102 segments on the 65 x 65 lattice: the Simpson nodes reach
-        # the oracle in three full _QH_ROWS blocks and a partial one
-        D, ax, ay = canonical_domain("ball", 2), np.array([0.2, 0.1]), np.array([-0.4, 0.3])
+        # the direct edge runs through the boundary point 0 and weighs inf,
+        # so nothing is pruned: the Simpson nodes reach the oracle in several
+        # full _QH_ROWS blocks and a partial one
+        D = canonical_domain("plane_minus_0_1", 2)
+        ax, ay = np.array([-0.5, 0.0]), np.array([0.5, 0.0])
+        spy, sizes = counted(D)
         expected = loop_grid_path(D, ax, ay, 3)
         assert expected is not None
-        assert _grid_shortest_path(D, ax, ay, 3) == expected
+        assert _grid_shortest_path(spy, ax, ay, 3) == expected
+        assert sizes.count(9 * _QH_ROWS) >= 3
 
     @pytest.mark.parametrize("m", [9, 257])
     @pytest.mark.parametrize("make,box", SEGMENT_CASES)
