@@ -20,6 +20,8 @@ grid values computed this way.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -176,11 +178,14 @@ class HarmonicPlanarMap:
         On a circle sampled at the n_t-th roots of unity a power series
         aliases exactly: sum_m c_m r^m w^(mj) = sum_{k < n_t} C_k(r) w^(kj)
         with C_k(r) = sum_{m = k mod n_t} c_m r^m.  So g and h are folded by
-        m mod n_t, the folded h is conjugated and reflected (conj(w^(kj)) =
-        w^(-kj)), and one unnormalized inverse FFT per radius sums the
-        modes.  This holds for any n_t >= 1, including n_t at or below the
-        degree.  It costs O(n_r (M + 1) + n_r n_t log n_t) for degree M,
-        against O(n_r n_t (M + 1)) for pointwise Horner.
+        m mod n_t (``_fold``), the folded h is conjugated and reflected
+        (conj(w^(kj)) = w^(-kj)), and one unnormalized inverse FFT per
+        radius sums the modes.  This holds for any n_t >= 1, including n_t
+        at or below the degree, and at any radius whose powers up to the
+        degree stay finite: a radius above 1 gives f(r w^j) there, with no
+        0 * inf from powers past the degree.  It costs O(n_r (M + 1) + n_r
+        n_t log n_t) for degree M, against O(n_r n_t (M + 1)) for pointwise
+        Horner.
         """
         n_t = int(n_t)
         if n_t < 1:
@@ -195,22 +200,30 @@ class HarmonicPlanarMap:
 
 
 def _fold(coeffs: tuple[complex, ...], radii: np.ndarray, n_t: int) -> np.ndarray:
-    """C[i, k] = sum_{m = k mod n_t} c_m radii[i]^m, as r^k P_k(r^n_t).
+    """C[i, k] = sum_{m = k mod n_t} c_m radii[i]^m, for k < n_t.
 
-    P_k has the coefficient blocks c_{k + q n_t}, q = 0, 1, ..., taken by
-    Horner in s = r^n_t over whole rows, so no power r^m beyond m = n_t is
-    ever formed.
+    With the coefficient blocks c_{k + q n_t}, q < Q, as the rows of a
+    (Q, n_t) matrix, C[i, k] = r_i^k sum_q r_i^(q n_t) c_{k + q n_t}: one
+    contraction of the (n_r, Q) table of powers r^(q n_t) with the
+    blocks, then the factor r^k.  Only the first min(n_t, len(coeffs))
+    columns can be nonzero, and the r^k table stops there, so a map of
+    degree below n_t forms no power beyond r^degree and its table of
+    block powers is all ones.  With Q >= 2 blocks the powers reach
+    r^((Q - 1) n_t), up to r^degree, so at radii above 1 they can
+    overflow where Horner's partial sums would not.
     """
+    width = min(n_t, len(coeffs))
     blocks = -(-len(coeffs) // n_t)
-    c = np.zeros(blocks * n_t, dtype=complex)
+    c = np.zeros(blocks * width, dtype=complex)
     c[: len(coeffs)] = coeffs
-    c = c.reshape(blocks, n_t)
-    s = (radii**n_t)[:, None]
-    acc = np.tile(c[-1], (radii.size, 1))
-    for q in range(blocks - 2, -1, -1):
-        acc *= s
-        acc += c[q]
-    acc *= radii[:, None] ** np.arange(n_t)
+    acc = np.zeros((radii.size, n_t), dtype=complex)
+    np.einsum(
+        "iq,qkc->ikc",
+        radii[:, None] ** (n_t * np.arange(blocks)),
+        c.view(float).reshape(blocks, width, 2),
+        out=acc.view(float).reshape(radii.size, n_t, 2)[:, :width],
+    )
+    acc[:, :width] *= radii[:, None] ** np.arange(width)
     return acc
 
 
@@ -451,8 +464,9 @@ def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
 # moduli of continuity by dense sampling (lower approximations of the sups)
 
 
-#: Absolute part of the block-skip margin in ``_polar_sup``: a few
-#: subnormal steps, the error of a gap whose modulus underflows.
+#: Absolute part of the skip margin in ``_polar_sup``, per gap summed
+#: into a bound: a few subnormal steps, the error of a gap whose modulus
+#: underflows.
 _GAP_SLACK = 8 * math.ulp(0.0)
 
 
@@ -471,29 +485,39 @@ def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
     row at lag 0.  Pairs at exactly delta count: the test carries a
     cushion of a part in 1e12.
 
-    Lags 1, 2, ... of each k are cut into blocks of B = isqrt(longest lag
-    list) lags, and a block whose pairs cannot raise the sup is skipped.
-    With W[r] the largest gap within row r at angular lags 1..B-1 and
-    H[i] = max_j |F[i, j] - F[i+k, j+l0]|, the triangle inequality through
-    F[i+k, j+l0] gives, for l0 <= l < l0 + B,
+    Lags 1..L of each k are bisected best first, and a run of lags whose
+    pairs cannot raise the sup is never evaluated.  With G_r(t) the
+    largest gap within row r at angular lag t, W_p[r] = G_r(1) + G_r(2) +
+    ... + G_r(2^(p-1)) bounds every gap within row r at lags 1..2^p - 1,
+    since each such lag is a sum of distinct powers of two below 2^p
+    (the triangle inequality along them); filling W takes one pass per
+    level, about log2(L) in all.  For a run of lags l0..l1 with
+    l1 - l0 < 2^p, H[i] = max_j |F[i, j] - F[i+k, j+l0]| and l0 <= l <=
+    l1, the triangle inequality through F[i+k, j+l0] gives
 
-        |F[i, j] - F[i+k, j+l]| <= H[i] + W[i+k],
+        |F[i, j] - F[i+k, j+l]| <= H[i] + W_p[i+k],
 
-    and through F[i, j+l-l0] the same with W[i], since H[i] is a maximum
-    over the whole circle; the reverse pairs of k >= 1 likewise.  So every
-    block's head lag l0 is evaluated exactly (it counts toward the sup)
-    with a maximum per row, and the block's other lags are skipped when
-    the largest head gap plus min(W[i], W[i+k]) over their row prefix,
-    times 1 + 1e-12, plus a few subnormal steps, is at or below the sup
-    found so far; the blocks are visited by decreasing bound.  The margin
-    covers rounding: a rounded complex subtraction followed by ``hypot``
-    is within a few ulps of the exact gap of the stored values (within a
-    few subnormal steps where it underflows), so a skipped pair computes
-    at most the computed head gap plus W, grown by a few ulps, which is
-    far inside a part in 1e12.  No skipped pair can raise the sup, which
-    is therefore the same to the bit as a scan of every pair.  Lag 0 of
-    each k >= 1 spans every row, so it is evaluated apart, never in a
-    block.  W is filled only for the rows some block bounds.
+    and through F[i, j+l-l0] the same with W_p[i], since H[i] is a
+    maximum over the whole circle; the reverse pairs of k >= 1 likewise.
+    So a run's head lag l0 is evaluated exactly (it counts toward the
+    sup) with a maximum per row, and the run is bounded by the largest
+    H[i] + min(W_p[i], W_p[i+k]) over the rows of lag l0 + 1.  Runs wait
+    in a heap by decreasing bound (ties in the order queued); each k
+    starts with the run 1..L headed by lag 1.  The top run is split into
+    its first 2^(p-1) lags, which keep the head and its gaps at level
+    p - 1, and the rest, whose head is evaluated; the scan stops when
+    the top bound, times 1 + 1e-12, plus ``_GAP_SLACK`` per gap summed
+    into it (p + 1 of them), is at or below the sup found so far.  The
+    margin covers rounding: a rounded complex subtraction followed by
+    ``hypot`` is within a few ulps of the exact gap of the stored values
+    (within a few subnormal steps where it underflows), so a bound sums
+    p + 1 gaps that each carry that error plus p roundings of the sum,
+    and a pair left unevaluated computes at most the computed bound
+    grown by some dozens of ulps, far inside a part in 1e12.  No pair
+    left unevaluated can raise the sup, which is therefore the same to
+    the bit as a scan of every pair.  Lag 0 of each k >= 1 spans every
+    row, so it is evaluated apart, in no run.  W is filled only for the
+    rows some run bounds.
     """
     n_r, n_t = F.shape
     cushion = delta * (1.0 + 1e-12) + 1e-15
@@ -506,10 +530,10 @@ def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
         chord = 2.0 * np.sqrt(radii[: n_r - k] * radii[k:])
         plan.append((k, _row_counts(dr, chord, sines, n_t, cushion)))
 
-    B = max(1, math.isqrt(max(c.size - 1 for _, c in plan)))
-    W = np.zeros(max(k + c[2] for k, c in plan if c.size > 2) if B > 1 else 0)
-    for lag in range(1, B):
-        np.maximum(W, _lag_gaps(F[: W.size], F[: W.size], lag), out=W)
+    bounded = max((k + c[2] for k, c in plan if c.size > 2), default=0)
+    W = [np.zeros(bounded)]
+    for p in range(max(max(c.size - 2, 0).bit_length() for _, c in plan)):
+        W.append(W[-1] + _lag_gaps(F[:bounded], F[:bounded], 1 << p))
 
     def gaps(k, rows, lag):
         """Per-row maxima of the forward and (k, lag >= 1) the reverse pairs."""
@@ -518,26 +542,37 @@ def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
         return fwd, _lag_gaps(b, a, lag) if k and lag else fwd
 
     best = 0.0
-    blocks = []
+    heap = []  # (-bound, order queued, level, k, counts, head, last lag, head gaps)
+    order = itertools.count()
+
+    def queue(k, counts, head, last, top):
+        p = (last - head).bit_length()
+        spread = np.minimum(W[p][: top.size], W[p][k : k + top.size])
+        bound = float((top + spread).max())
+        heapq.heappush(heap, (-bound, next(order), p, k, counts, head, last, top))
+
+    def visit(k, counts, head, last):
+        """Evaluate lag ``head`` and queue the run head..last behind it."""
+        nonlocal best
+        fwd, rev = gaps(k, counts[head], head)
+        best = max(best, float(fwd.max()), float(rev.max()))
+        if last > head:
+            inner = counts[head + 1]
+            queue(k, counts, head, last, np.maximum(fwd[:inner], rev[:inner]))
+
     for k, counts in plan:
         if k:
             best = max(best, float(gaps(k, counts[0], 0)[0].max()))
-        for head in range(1, counts.size, B):
-            fwd, rev = gaps(k, counts[head], head)
-            best = max(best, float(fwd.max()), float(rev.max()))
-            if B > 1 and head + 1 < counts.size:
-                inner = counts[head + 1]
-                spread = np.minimum(W[:inner], W[k : k + inner])
-                bound = float((np.maximum(fwd[:inner], rev[:inner]) + spread).max())
-                blocks.append((bound, k, head, counts))
-
-    blocks.sort(key=lambda block: block[0], reverse=True)
-    for bound, k, head, counts in blocks:
-        if bound * (1.0 + 1e-12) + _GAP_SLACK <= best:
+        if counts.size > 1:
+            visit(k, counts, 1, counts.size - 1)
+    while heap:
+        bound, _, p, k, counts, head, last, top = heapq.heappop(heap)
+        if -bound * (1.0 + 1e-12) + (p + 1) * _GAP_SLACK <= best:
             break
-        for lag in range(head + 1, min(head + B, counts.size)):
-            fwd, rev = gaps(k, counts[lag], lag)
-            best = max(best, float(fwd.max()), float(rev.max()))
+        mid = head + (1 << (p - 1))
+        if mid - 1 > head:
+            queue(k, counts, head, mid - 1, top)
+        visit(k, counts, mid, last)
     return best
 
 
@@ -584,15 +619,18 @@ def boundary_modulus(phi: BoundaryFunction1D, delta: float) -> float:
     """sup |phi_i - phi_j| over sample pairs with chordal gap at most delta.
 
     The pairs are those at lag 1..N/2 with chord 2 sin(pi lag / N) within
-    delta.  The lags are cut into blocks of about sqrt(L) lags, L the last
-    lag within delta.  Each block's first lag l0 is evaluated exactly, and
-    by the triangle inequality no pair of the block's other lags exceeds
-    max_j |phi_j - phi_(j+l0)| + W, W the largest gap at lags below the
-    block length.  A block whose bound, times 1 + 1e-12 plus a few
-    subnormal steps, is at or below the sup found so far is skipped: a
-    rounded subtraction followed by ``hypot`` is within a few ulps of the
-    exact gap, so no skipped pair computes above that sup, and the value
-    is the same to the bit as a scan of every lag.  ``delta`` must be
+    delta, lags 1..L.  They are bisected best first (``_polar_sup``): a
+    run of lags l0..l1 is bounded by its head gap max_j |phi_j -
+    phi_(j+l0)| plus W_p, the sum of the largest gaps at lags 1, 2, 4,
+    ..., 2^(p-1) with 2^p > l1 - l0, which by the triangle inequality
+    exceeds every gap at lags 1..2^p - 1.  The run with the largest bound
+    is split in two and the new head evaluated, until that bound, times
+    1 + 1e-12 plus a few subnormal steps per gap summed, is at or below
+    the sup found so far.  A rounded subtraction followed by ``hypot`` is
+    within a few ulps of the exact gap, so no pair left unevaluated
+    computes above that sup, and the value is the same to the bit as a
+    scan of every lag.  A smooth phi needs about log2(L) passes over the
+    samples, where a scan of every lag needs L.  ``delta`` must be
     positive and finite.
     """
     delta = _checked_delta(delta)
@@ -607,18 +645,20 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
     two grid points at most delta apart, scanned by radius offset k = 0,
     1, ... and within each k by increasing angular lag (1..n_t/2 for
     k = 0, 0..n_t/2 both ways for k >= 1) until none is left within delta.
-    The grid values come from ``f.on_polar_grid``: per radius, the
-    coefficients r^m c_m folded by m mod n_t and one inverse FFT, which is
-    exact for a polynomial at the n_t-th roots of unity.  As in
-    ``boundary_modulus``, blocks of angular lags are skipped when the
-    triangle inequality through their first lag, |f(a) - f(b)| <= |f(a) -
-    f(b0)| + W with W the smaller of the two rows' largest gaps over the
-    block's lag span, carries a margin of 1e-12 relative plus a few
-    subnormal steps and stays at or below the sup found so far; rounding
-    moves a computed gap by a few ulps only, so the value is the same to
-    the bit as a scan of every pair.  ``delta`` must be positive and
-    finite, and so must every grid value: a map whose folded FFT overflows
-    is refused, not scanned.
+    The grid values come from ``f.on_polar_grid``: the coefficients
+    folded by m mod n_t, weighted by the powers of each radius in one
+    contraction, and one inverse FFT per radius, which is exact for a
+    polynomial at the n_t-th roots of unity.  As in ``boundary_modulus``,
+    the angular lags of each k are bisected best first: a run of lags is
+    bounded through its head lag l0, |f(a) - f(b)| <= |f(a) - f(b0)| +
+    W_p with W_p the smaller of the two rows' sums of largest gaps at
+    lags 1, 2, ..., 2^(p-1), 2^p beyond the run's span; a run is left
+    unevaluated when that bound, with a margin of 1e-12 relative plus a
+    few subnormal steps per gap summed, is at or below the sup found so
+    far.  Rounding moves a computed gap by a few ulps only, so the value
+    is the same to the bit as a scan of every pair.  ``delta`` must be
+    positive and finite, and so must every grid value: a map whose folded
+    FFT overflows is refused, not scanned.
     """
     delta = _checked_delta(delta)
     pair = (grid, grid) if isinstance(grid, (int, np.integer)) else grid

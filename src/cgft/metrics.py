@@ -391,7 +391,7 @@ def j_metric(D: DomainSpec, x, y) -> float:
         return 0.0
     dx = D.boundary_distance(px)
     dy = D.boundary_distance(py)
-    gap = float(np.linalg.norm(px.array() - py.array()))
+    gap = math.dist(px.array(), py.array())
     return math.log1p(gap / min(dx, dy))
 
 
@@ -826,7 +826,7 @@ def mu_bounds(
     n = D.dimension
     dx = D.boundary_distance(px)
     D.boundary_distance(py)
-    gap = float(np.linalg.norm(px.array() - py.array()))
+    gap = math.dist(px.array(), py.array())
     uppers: list[float] = []
     lowers: list[float] = [0.0]
     if gap < dx:
@@ -873,7 +873,7 @@ def lambda_bounds(
     n = D.dimension
     dx = D.boundary_distance(px)
     dy = D.boundary_distance(py)
-    gap = float(np.linalg.norm(px.array() - py.array()))
+    gap = math.dist(px.array(), py.array())
     s = gap / min(dx, dy)
     hi = math.sqrt(2.0) * tau_n_bounds(n, s).hi
     lowers = [0.0]

@@ -85,6 +85,16 @@ class TestMetricCommand:
         _, j_out, _ = run_cli(capsys, "metric", "--metric", "j", *point_args)
         assert float(k_out) >= float(j_out) > 0.0
 
+    def test_half_space_j_of_points_1e_300_apart(self, capsys):
+        # the squares of the gap underflow, and j printed 0 here
+        code, out, _ = run_cli(
+            capsys,
+            "metric", "--domain", "half_space", "--metric", "j",
+            "--x", "0", "1", "--y", "1e-300", "1",
+        )
+        assert code == 0
+        assert float(out) == 1e-300
+
     def test_numeric_quasihyperbolic_ball(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,6 +1,7 @@
 """Tests for planar harmonic maps, subharmonicity, extensions, and moduli."""
 
 import cmath
+import heapq
 import math
 
 import numpy as np
@@ -489,6 +490,26 @@ class TestOnPolarGrid:
         with pytest.raises(ValueError):
             HarmonicPlanarMap.shear(0.5).on_polar_grid([0.5], 0)
 
+    def test_radius_above_one(self):
+        # the table of r^k ran to k = n_t - 1, where 2^k overflows: 0 * inf
+        # made the whole row NaN, while f(2) = 3
+        f = HarmonicPlanarMap.shear(0.5)
+        with np.errstate(all="raise"):
+            got = f.on_polar_grid([2.0], 4096)[0]
+        z = 2.0 * np.exp(2j * math.pi * np.arange(4096) / 4096)
+        assert got[0] == pytest.approx(3.0, abs=1e-14)
+        assert np.max(np.abs(got - f(z))) <= 1e-14
+
+    @pytest.mark.parametrize("n_t", [8, 17, 41])
+    def test_folded_blocks_above_radius_one(self, n_t):
+        f = _random_map(np.random.default_rng(n_t), degree=40)
+        radii = np.array([1.25, 2.0])
+        z = radii[:, None] * np.exp(2j * math.pi * np.arange(n_t) / n_t)[None, :]
+        got = f.on_polar_grid(radii, n_t)
+        coeffs = np.abs(f.g_coeffs) + np.abs(f.h_coeffs)
+        scale = np.polynomial.polynomial.polyval(radii, coeffs)[:, None]
+        assert np.max(np.abs(got - f(z)) / scale) <= 1e-13
+
 
 class TestModuliMatchAllPairs:
     """Both moduli visit exactly the grid pairs within delta."""
@@ -587,6 +608,29 @@ class TestModuliMatchAllPairsWhereBlocksSkip:
         for delta in (0.2, 0.4, 0.7):
             assert _polar_sup(F, radii, delta) == _all_pairs_sup_in_slabs(z, F, delta)
 
+    @pytest.mark.parametrize("kind", ["shear", "noise"])
+    def test_boundary_where_the_bisection_goes_deep(self, kind, monkeypatch):
+        import cgft.harmonic_qr as hq
+
+        n = 4096
+        rng = np.random.default_rng([n, 23])
+        z = np.exp(2j * math.pi * np.arange(n) / n)
+        if kind == "noise":
+            phi = BoundaryFunction1D(tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        else:
+            phi = boundary_samples_of(HarmonicPlanarMap.shear(0.5), n)
+        F = np.asarray(phi.samples)
+        # the level of each run queued, the third entry of a heap item
+        levels = []
+        push = heapq.heappush
+        monkeypatch.setattr(
+            hq.heapq, "heappush", lambda heap, item: levels.append(item[2]) or push(heap, item)
+        )
+        for delta in [0.05, 0.3, 1.2]:
+            levels.clear()
+            assert boundary_modulus(phi, delta) == _all_pairs_sup_in_slabs(z, F, delta)
+            assert max(levels) - min(levels) >= 4
+
     def test_smooth_maps_skip_most_lags(self, monkeypatch):
         import cgft.harmonic_qr as hq
 
@@ -595,11 +639,11 @@ class TestModuliMatchAllPairsWhereBlocksSkip:
         monkeypatch.setattr(
             hq, "_lag_gaps", lambda a, b, lag: calls.append(lag) or kernel(a, b, lag)
         )
-        # boundary: a scan of every lag makes one call per lag within delta
-        n, delta = 2048, 1.5
-        lags = sum(2.0 * math.sin(math.pi * m / n) <= delta for m in range(1, n // 2 + 1))
-        boundary_modulus(boundary_samples_of(HarmonicPlanarMap.shear(0.5), n), delta)
-        assert len(calls) <= lags // 4
+        # boundary: a scan of every lag makes one call per lag within delta,
+        # 1,043 here; the bisection makes about log2 of that, one per level
+        # of W, plus the few head lags it evaluates
+        boundary_modulus(boundary_samples_of(HarmonicPlanarMap.shear(0.5), 65536), 0.1)
+        assert len(calls) <= 24
         # closed grid from radius 0: k = 0 keeps all 64 lags, and each k
         # with r_k <= delta its lag 0 plus 64 lags both ways
         calls.clear()

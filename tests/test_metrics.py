@@ -158,6 +158,10 @@ class TestJMetric:
                 j_metric(punctured_plane, y, x), rel=1e-14
             )
 
+    def test_tiny_gap_does_not_underflow(self, half_plane):
+        # the squares of a 1e-300 gap underflow to 0; j was 0 here
+        assert j_metric(half_plane, (0.0, 1.0), (1e-300, 1.0)) == 1e-300
+
     def test_below_quasihyperbolic(self, punctured_plane):
         for _ in range(30):
             x, y = random_finite(), random_finite()
@@ -793,6 +797,13 @@ class TestMuBounds:
         assert iv.lo == pytest.approx(0.2 * j_metric(half_plane, x, y), rel=1e-12)
         assert iv.lo <= iv.hi
 
+    def test_tiny_gap(self, half_plane):
+        # a gap that underflowed to 0 raised ZeroDivisionError at d(x) / gap
+        x, y = (0.0, 1.0), (1e-300, 1.0)
+        iv = mu_bounds(half_plane, x, y, c_n=0.15, k_value=quasihyperbolic_exact("half_space", x, y))
+        assert iv.lo == 0.15 * 1e-300
+        assert iv.hi <= gamma2(1e300) * (1.0 + 1e-12)
+
     def test_no_applicable_bound(self, punctured_plane):
         # far pair in a domain with disconnected boundary: nothing applies
         with pytest.raises(NoApplicableBoundError):
@@ -822,6 +833,12 @@ class TestLambdaBounds:
         iv = lambda_bounds(punctured_plane, x, y, c_n=0.5)
         # best of the two endpoint bounds c_n * log(d / |x-y|)
         assert iv.lo == pytest.approx(0.5 * math.log(1.1 / 0.1), rel=1e-10)
+
+    def test_tiny_gap(self, half_plane):
+        # a gap that underflowed to 0 made the ratio 0, which tau_n_bounds refused
+        iv = lambda_bounds(half_plane, (0.0, 1.0), (1e-300, 1.0), c_n=0.5)
+        assert iv.lo == pytest.approx(0.5 * math.log(1e300), rel=1e-12)
+        assert iv.lo <= iv.hi
 
     def test_random_ordering(self, punctured_plane):
         D = punctured_plane.with_flags(qed_constant=0.5)
