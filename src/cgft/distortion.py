@@ -565,11 +565,16 @@ def lens_diam_exact(x: complex | Sequence[float], eps: float) -> float:
     its antipode, and when lo <= 0 <= hi, so that the arc holds antipodal
     pairs, one of the two ends has its antipode in the window: the 2 R
     pairs are among the candidates.  The set holds x, so some window is
-    nonempty and there are candidates.
+    nonempty and there are candidates.  The formulas square the outer
+    radii, so an eps that takes (max(r1, r2) + eps)^2 past the double range
+    is refused, as ``_lens_radii`` refuses such an x.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("lens_diam_exact needs finite eps > 0")
     _, _, r1, r2 = _lens_radii(x)
+    R = max(r1, r2) + eps
+    if not math.isfinite(R * R):
+        raise ValueError("lens_diam_exact needs (max(|x|, |x - e1|) + eps)^2 finite")
     inner = (max(r1 - eps, 0.0), max(r2 - eps, 0.0))
     outer = (r1 + eps, r2 + eps)
     # the corners of the two inner circles; those on an outer circle are the

@@ -227,48 +227,45 @@ def _fold(coeffs: tuple[complex, ...], radii: np.ndarray, n_t: int) -> np.ndarra
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryFunction1D:
-    """Complex boundary values sampled at N equispaced angles, N a power of two."""
+    """Complex boundary values sampled at N equispaced angles, N a power of two.
 
-    samples: tuple[complex, ...]
+    ``samples`` is a read-only complex array, copied from the input: a flat
+    sequence of N >= 8 finite values, sample j taken at angle 2 pi j / N.
+    Equality is identity, since an array has no single truth value.
+    """
+
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.samples, dtype=complex)
+        values = np.array(self.samples, dtype=complex)
         if values.ndim != 1:
             raise ValueError("samples must be a flat sequence")
-        object.__setattr__(self, "samples", tuple(values.tolist()))
-        n = len(self.samples)
+        n = values.size
         if n < 8 or n & (n - 1):
             raise ValueError("sample count must be a power of two, at least 8")
         if not np.isfinite(values).all():
             raise ValueError("samples must be finite")
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[complex], complex], n: int
-    ) -> "BoundaryFunction1D":
-        pts = np.exp(2j * math.pi * np.arange(n) / n)
-        return cls(tuple(complex(fn(complex(p))) for p in pts))
+        values.flags.writeable = False
+        object.__setattr__(self, "samples", values)
 
 
 @dataclass(frozen=True)
 class SphereBoundaryFunction:
-    """A map from the unit 2-sphere to R^3 with a caller-asserted Lipschitz bound."""
+    """A map from the unit 2-sphere to R^3 with a caller-asserted Lipschitz bound.
 
-    oracle: Callable[[np.ndarray], Sequence[float]]
+    ``oracle`` takes one (m, 3) array of unit vectors and returns the (m, 3)
+    array of their images; ``poisson_ball3`` refuses any other shape.
+    """
+
+    oracle: Callable[[np.ndarray], np.ndarray]
     lipschitz_L: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lipschitz_L", float(self.lipschitz_L))
         if not self.lipschitz_L >= 0.0:
             raise ValueError("lipschitz_L must be nonnegative")
-
-    def value(self, xi: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.oracle(xi), dtype=float)
-        if v.shape != (3,):
-            raise ValueError("oracle must return a length-3 real vector")
-        return v
 
 
 class SubharmonicScan(NamedTuple):
@@ -414,7 +411,7 @@ def poisson_disk_extend(phi: BoundaryFunction1D, M: int) -> HarmonicPlanarMap:
     M = int(M)
     if M < 0:
         raise ValueError("mode cutoff must be nonnegative")
-    samples = np.asarray(phi.samples, dtype=complex)
+    samples = phi.samples
     n = samples.size
     if 2 * M > n:
         raise AliasingError(
@@ -634,7 +631,7 @@ def boundary_modulus(phi: BoundaryFunction1D, delta: float) -> float:
     positive and finite.
     """
     delta = _checked_delta(delta)
-    return _polar_sup(np.asarray(phi.samples, dtype=complex)[None, :], np.ones(1), delta)
+    return _polar_sup(phi.samples[None, :], np.ones(1), delta)
 
 
 def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
@@ -709,50 +706,40 @@ def _orthonormal_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _polar_rule(r: float, quad_N: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
+def _polar_rule(r: float, quad_N: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights in u = cos(polar angle) on [-1, 1].
 
     The Poisson kernel has a near-singularity just beyond u = 1 at distance
-    (1-r)^2/(2r); panels graded geometrically toward u = 1 keep a uniform
-    per-panel convergence rate at every r.
+    eps = (1-r)^2/(2r); panels graded geometrically toward u = 1, with cuts
+    at 1 - eps 4^k (at most 39 of them, all above -1), keep a uniform
+    per-panel convergence rate at every r.  Every panel takes the same
+    Gauss-Legendre rule of max(8, quad_N // panels) nodes, mapped onto all
+    panels in one broadcast.  Below r = 1e-3 the kernel is nearly flat and
+    one rule of quad_N nodes covers [-1, 1].
     """
-    base_x, base_w = nleg.leggauss(max(8, quad_N))
-    if not graded or r < 1e-3:
-        return base_x, base_w
-    eps = (1.0 - r) ** 2 / (2.0 * r)
-    cuts = [1.0]
-    s = eps
-    while 1.0 - s > -1.0 and len(cuts) < 40:
-        cuts.append(1.0 - s)
-        s *= 4.0
-    cuts.append(-1.0)
-    edges = np.array(cuts[::-1])  # increasing
-    n_panels = edges.size - 1
-    n_per = max(8, quad_N // n_panels)
-    x, w = nleg.leggauss(n_per)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    if r < 1e-3:
+        return nleg.leggauss(quad_N)
+    s = (1.0 - r) ** 2 / (2.0 * r) * 4.0 ** np.arange(39)
+    edges = np.concatenate(([-1.0], 1.0 - s[1.0 - s > -1.0][::-1], [1.0]))
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    x, w = nleg.leggauss(max(8, quad_N // (edges.size - 1)))
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def poisson_ball3(
-    phi: SphereBoundaryFunction,
-    x,
-    quad_N: int = 64,
-    *,
-    graded: bool = True,
-) -> np.ndarray:
+def poisson_ball3(phi: SphereBoundaryFunction, x, quad_N: int = 64) -> np.ndarray:
     """Poisson integral of phi over the unit sphere at x in the open 3-ball.
 
     Uses the kernel (1 - |x|^2)/|x - xi|^3 against the normalized surface
-    measure, on a product rule: Gauss-Legendre in the cosine of the angle
-    from the x direction (graded toward the kernel peak) and equispaced
-    azimuth.  The computed kernel mass must reproduce constants to within
-    1e-4 or a QuadratureAccuracyError is raised; the returned value is
-    normalized by that mass, so constants come back exactly.
+    measure, on a product rule: Gauss-Legendre in the cosine u of the angle
+    from the x direction (graded toward the kernel peak, ``_polar_rule``)
+    and quad_N equispaced azimuths.  All nodes, one ring of azimuths per u,
+    go to ``phi.oracle`` in one (nodes, 3) array, which must come back with
+    the same shape; each ring is summed and the rings are weighted by the
+    rule times the kernel in one contraction.  The computed kernel mass must
+    reproduce constants to within 1e-4 or a QuadratureAccuracyError is
+    raised; the returned value is normalized by that mass, so constants
+    come back exactly.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
@@ -764,7 +751,8 @@ def poisson_ball3(
         raise ValueError("x must lie in the open unit ball")
     axis = x / r if r > 0.0 else np.array([0.0, 0.0, 1.0])
     t1, t2 = _orthonormal_frame(axis)
-    u, w_u = _polar_rule(r, int(quad_N), graded)
+    n_az = int(quad_N)
+    u, w_u = _polar_rule(r, n_az)
     sin_polar = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     # |x - xi|^2 = 1 + r^2 - 2 r u, written so that it does not cancel to 0
     # near the kernel peak; a NaN mass fails the check below
@@ -774,20 +762,13 @@ def poisson_ball3(
         raise QuadratureAccuracyError(
             f"kernel mass {mass:.6g} misses 1 by more than 1e-4 at |x| = {r:.6g}"
         )
-    n_az = int(quad_N)
     az = np.arange(n_az) * (_TWO_PI / n_az)
-    cos_az, sin_az = np.cos(az), np.sin(az)
-    acc = np.zeros(3)
-    for i in range(u.size):
-        ring = (
-            u[i] * axis[None, :]
-            + sin_polar[i] * (np.outer(cos_az, t1) + np.outer(sin_az, t2))
-        )
-        ring_sum = np.zeros(3)
-        for j in range(n_az):
-            ring_sum += phi.value(ring[j])
-        acc += w_u[i] * kernel[i] * ring_sum
-    value = acc / (2.0 * n_az)
+    ring = np.cos(az)[:, None] * t1 + np.sin(az)[:, None] * t2
+    xi = (u[:, None, None] * axis + sin_polar[:, None, None] * ring).reshape(-1, 3)
+    vals = np.asarray(phi.oracle(xi), dtype=float)
+    if vals.shape != xi.shape:
+        raise ValueError("oracle must return an (m, 3) real array for (m, 3) unit vectors")
+    value = (w_u * kernel) @ vals.reshape(u.size, n_az, 3).sum(axis=1) / (2.0 * n_az)
     return value / mass
 
 
@@ -801,8 +782,8 @@ def _pairwise_min_gap(values: np.ndarray) -> float:
     for start in range(0, m, 512):
         block = values[start : start + 512]
         d = np.abs(block[:, None] - values[None, :])
-        for local in range(block.size):
-            d[local, start + local] = math.inf
+        local = np.arange(block.size)
+        d[local, start + local] = math.inf
         best = min(best, float(d.min()))
     return best
 
@@ -882,8 +863,12 @@ def qh_bilipschitz_estimate(
     the domain bounded by the polyline through ``boundary_image_samples``
     (the caller's samples of f on the unit circle).  Evidence of
     non-injectivity - two distinct samples mapping within 1e-12 - raises
-    InjectivityError.  Pairs should be compactly inside the disk so their
-    images stay inside the sampled polyline.
+    InjectivityError: the boundary samples are compared in blocks of 512
+    rows against all of them, and the pair endpoints, whose images come
+    from one call of f on their array, in one pairwise array, where
+    endpoints more than 1e-9 apart count as distinct.  Pairs should be
+    compactly inside the disk so their images stay inside the sampled
+    polyline.
     """
     W = np.asarray(boundary_image_samples, dtype=complex)
     if W.size < 8:
@@ -903,18 +888,16 @@ def qh_bilipschitz_estimate(
             if abs(z) >= 1.0:
                 raise ValueError("sample points must lie in the open unit disk")
             pts.append(z)
-    images = [complex(f(z)) for z in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) > 1e-9 and abs(images[i] - images[j]) < _COLLISION_TOL:
-                raise InjectivityError(
-                    "two interior samples map within 1e-12 of each other"
-                )
+    Z = np.array(pts)
+    images = f(Z)
+    apart = np.abs(Z[:, None] - Z[None, :]) > 1e-9
+    if (apart & (np.abs(images[:, None] - images[None, :]) < _COLLISION_TOL)).any():
+        raise InjectivityError("two interior samples map within 1e-12 of each other")
     disk = canonical_domain("ball", 2)
     image_domain = polyline_interior_domain(W)
     ratios = []
     for idx, (a, b) in enumerate(pairs):
-        fa, fb = images[2 * idx], images[2 * idx + 1]
+        fa, fb = complex(images[2 * idx]), complex(images[2 * idx + 1])
         source = float(quasihyperbolic_numeric(disk, (a.real, a.imag), (b.real, b.imag), tol))
         target = float(
             quasihyperbolic_numeric(

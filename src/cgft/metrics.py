@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -601,13 +602,19 @@ def _segment_weights(D: DomainSpec, A: np.ndarray, B: np.ndarray, m: int) -> np.
     The nodes are laid out node-major, one (rows, n) block per j, so both
     tests run elementwise across the m node rows; only the Simpson sum
     goes back to one contiguous row per segment, where numpy's own sum
-    fixes the order of the additions.
+    fixes the order of the additions.  A segment whose squared length falls
+    below the normal range (shorter than about 1.5e-154) takes its length
+    from ``np.hypot``, which scales: the squares would round it toward 0.
     """
     ts = np.linspace(0.0, 1.0, m)
     simpson = _simpson_weights(m)[:, None]
     diff = B - A
     # a batched dot reproduces each row's 1-D norm to the bit; norm(axis=1) does not
-    h = np.sqrt(diff[:, None, :] @ diff[:, :, None]).reshape(-1) / (m - 1)
+    sq = (diff[:, None, :] @ diff[:, :, None]).reshape(-1)
+    h = np.sqrt(sq)
+    low = sq < sys.float_info.min
+    h[low] = np.hypot.reduce(diff[low], axis=1)
+    h /= m - 1
     out = np.empty(len(A))
     for lo in range(0, len(A), _QH_ROWS):
         rows = slice(lo, lo + _QH_ROWS)
@@ -649,6 +656,8 @@ def _grid_shortest_path(
     N = (8 if n == 2 else 4) * 2**level
     center = 0.5 * (ax + ay)
     gap = float(np.linalg.norm(ax - ay))
+    if gap * gap < sys.float_info.min:  # the squares underflow: scale instead
+        gap = math.dist(ax, ay)
     dx = np.asarray(D.dist_to_boundary(ax), dtype=float).item()
     dy = np.asarray(D.dist_to_boundary(ay), dtype=float).item()
     half = 1.6 * max(gap, dx, dy)

@@ -1038,7 +1038,7 @@ def _chk_qr_transfer(cfg, t):
 )
 def _chk_poisson_constant(cfg, t):
     v = np.array([1.0, -2.0, 0.5])
-    phi = hq.SphereBoundaryFunction(lambda xi: v, 0.0)
+    phi = hq.SphereBoundaryFunction(lambda xi: np.broadcast_to(v, xi.shape), 0.0)
     for x in ([0.0, 0.0, 0.0], [0.1, 0.2, -0.3], [0.0, 0.0, 0.99]):
         out = hq.poisson_ball3(phi, x)
         err = float(np.max(np.abs(out - v)))

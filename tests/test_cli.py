@@ -95,6 +95,16 @@ class TestMetricCommand:
         assert code == 0
         assert float(out) == 1e-300
 
+    def test_ball_quasihyperbolic_of_points_1e_300_apart(self, capsys):
+        # the squared gap underflowed, and the numeric k printed 0 here
+        point_args = ("--domain", "ball", "--x", "0", "0", "--y", "1e-300", "0")
+        code, k_out, _ = run_cli(capsys, "metric", "--metric", "quasihyperbolic", *point_args)
+        assert code == 0
+        _, j_out, _ = run_cli(capsys, "metric", "--metric", "j", *point_args)
+        k, j = float(k_out), float(j_out)
+        # the rounded Simpson weights put k 1 to 3 ulps below j at this scale
+        assert k > 0.0 and k >= j * (1.0 - 2.0**-50)
+
     def test_numeric_quasihyperbolic_ball(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -382,6 +392,14 @@ class TestDistortCommand:
         )
         assert code == 2 and out == ""
         assert "finite x" in err
+
+    def test_lens_exact_refuses_eps_whose_squared_radius_overflows(self, capsys):
+        # it printed inf here, while lens-brute prints about 2e200
+        code, out, err = run_cli(
+            capsys, "distort", "lens-exact", "--x", "-0.5", "0", "--eps", "1e200"
+        )
+        assert code == 2 and out == ""
+        assert "+ eps)^2 finite" in err
 
     @pytest.mark.parametrize("op", ["lens-exact", "lens-brute"])
     def test_lens_refuses_x_whose_squared_radius_overflows(self, capsys, op):

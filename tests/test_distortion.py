@@ -367,7 +367,8 @@ class TestLensBounds:
             warnings.simplefilter("error")
             brute = lens_diam_brute(x, eps, 10**4, seed=0)
         assert 1e200 < brute < math.inf
-        assert brute <= lens_diam_exact(x, eps)
+        with pytest.raises(ValueError, match="finite"):
+            lens_diam_exact(x, eps)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, math.inf, math.nan])
     def test_brute_refuses_bad_eps(self, eps):
@@ -638,6 +639,19 @@ class TestLensDiamExact:
         # lens_diam_exact read inf and lens_diam_brute 0
         with pytest.raises(ValueError, match="lens construction"):
             fn(x)
+
+    @pytest.mark.parametrize(
+        "x, eps", [((-0.5, 0.0), 1e200), ((-0.5, 0.0), 1.4e154), ((-1.3e154, 0.0), 1e153)]
+    )
+    def test_refuses_eps_that_squares_past_the_range(self, x, eps):
+        # the outer radii are squared: at eps = 1e200 the diameter read inf
+        with pytest.raises(ValueError, match=r"\(max\(\|x\|, \|x - e1\|\) \+ eps\)\^2 finite"):
+            lens_diam_exact(x, eps)
+
+    @pytest.mark.parametrize("x, eps", [((-0.5, 0.0), 1.3e154), ((-1.3e154, 0.0), 1e152)])
+    def test_largest_accepted_eps_has_a_finite_diameter(self, x, eps):
+        r = math.hypot(*x)
+        assert lens_diam_exact(x, eps) == pytest.approx(2.0 * (r + eps), rel=1e-12)
 
     @pytest.mark.parametrize("x", [(-1.3e154, 0.0), (0.9e154, 0.9e154)])
     def test_largest_accepted_x_has_a_finite_diameter(self, x):

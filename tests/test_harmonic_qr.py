@@ -35,6 +35,7 @@ from cgft.harmonic_qr import (
     quasiregularity_constant,
     subharmonic_exponent,
     subharmonic_profile,
+    _polar_rule,
     _polar_sup,
 )
 
@@ -43,6 +44,10 @@ def _random_map(rng, degree=4, scale=0.5):
     g = scale * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
     h = scale * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
     return HarmonicPlanarMap(tuple(g), tuple(h))
+
+
+def _unit_roots(n: int) -> np.ndarray:
+    return np.exp(2j * math.pi * np.arange(n) / n)
 
 
 def _fd_laplacian(u, z, h=1e-4):
@@ -284,7 +289,7 @@ class TestPoissonDiskExtend:
         assert complex(f(0.3 + 0.1j)) == pytest.approx(c, abs=1e-13)
 
     def test_single_mode_recovers_identity(self):
-        phi = BoundaryFunction1D.from_callable(lambda w: w, 32)
+        phi = BoundaryFunction1D(_unit_roots(32))
         f = poisson_disk_extend(phi, 8)
         for z in (0.5, -0.2 + 0.3j):
             assert complex(f(z)) == pytest.approx(z, abs=1e-12)
@@ -307,7 +312,7 @@ class TestPoissonDiskExtend:
         assert np.allclose(np.asarray(f.h_coeffs)[1:], expected, atol=1e-14)
 
     def test_nyquist_mode_is_split(self):
-        phi = BoundaryFunction1D.from_callable(lambda w: complex(w**8).real + 0j, 16)
+        phi = BoundaryFunction1D((_unit_roots(16) ** 8).real)
         f = poisson_disk_extend(phi, 8)
         theta = 0.37
         w = cmath.exp(1j * theta)
@@ -332,11 +337,19 @@ class TestPoissonDiskExtend:
         with pytest.raises(ValueError, match="samples must be finite"):
             BoundaryFunction1D(tuple(samples))
 
-    def test_array_samples_stored_as_python_complex(self):
+    def test_samples_are_a_read_only_complex_copy(self):
         values = HarmonicPlanarMap.shear(0.5).on_polar_grid([1.0], 64)[0]
         phi = BoundaryFunction1D(values)
-        assert phi.samples == tuple(complex(c) for c in values)
-        assert all(type(c) is complex for c in phi.samples)
+        assert phi.samples.dtype == complex and phi.samples.shape == (64,)
+        assert np.array_equal(phi.samples, values)
+        assert not np.shares_memory(phi.samples, values)
+        assert not phi.samples.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            phi.samples[0] = 0.0
+        values[0] = 7.0  # the caller's array stays the caller's
+        assert phi.samples[0] != 7.0
+        real = BoundaryFunction1D([1.0] * 8).samples
+        assert real.dtype == complex and not real.flags.writeable
         with pytest.raises(ValueError, match="flat"):
             BoundaryFunction1D(values.reshape(8, 8))
 
@@ -348,12 +361,12 @@ class TestPoissonDiskExtend:
 
 class TestBoundaryModulus:
     def test_identity_at_exact_chord(self):
-        phi = BoundaryFunction1D.from_callable(lambda w: w, 256)
+        phi = BoundaryFunction1D(_unit_roots(256))
         delta = 2.0 * math.sin(math.pi * 5 / 256)
         assert boundary_modulus(phi, delta) == pytest.approx(delta, rel=1e-12)
 
     def test_identity_generic_delta_is_nearest_chord(self):
-        phi = BoundaryFunction1D.from_callable(lambda w: w, 256)
+        phi = BoundaryFunction1D(_unit_roots(256))
         got = boundary_modulus(phi, 0.1)
         assert got <= 0.1
         assert got >= 0.1 - 2.0 * math.pi / 256
@@ -363,11 +376,11 @@ class TestBoundaryModulus:
         assert boundary_modulus(phi, 0.5) == 0.0
 
     def test_tiny_delta_sees_no_pairs(self):
-        phi = BoundaryFunction1D.from_callable(lambda w: w, 64)
+        phi = BoundaryFunction1D(_unit_roots(64))
         assert boundary_modulus(phi, 1e-6) == 0.0
 
     def test_full_delta_reaches_diameter(self):
-        phi = BoundaryFunction1D.from_callable(lambda w: w, 64)
+        phi = BoundaryFunction1D(_unit_roots(64))
         assert boundary_modulus(phi, 2.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_monotone_in_delta(self):
@@ -484,7 +497,7 @@ class TestOnPolarGrid:
     def test_boundary_samples_are_the_unit_row(self):
         f = alternating_cosine_map(100)
         phi = boundary_samples_of(f, 64)
-        assert phi.samples == tuple(f.on_polar_grid([1.0], 64)[0])
+        assert np.array_equal(phi.samples, f.on_polar_grid([1.0], 64)[0])
 
     def test_n_t_validated(self):
         with pytest.raises(ValueError):
@@ -699,7 +712,7 @@ class TestModuliSeparation:
 class TestPoissonBall3:
     def test_constant_reproduced_exactly(self):
         v = np.array([1.0, -2.0, 0.5])
-        phi = SphereBoundaryFunction(lambda xi: v, 0.0)
+        phi = SphereBoundaryFunction(lambda xi: np.broadcast_to(v, xi.shape), 0.0)
         for x in ([0.0, 0.0, 0.0], [0.1, 0.2, -0.3], [0.0, 0.0, 0.99]):
             out = poisson_ball3(phi, x)
             assert np.max(np.abs(out - v)) < 1e-12
@@ -715,10 +728,33 @@ class TestPoissonBall3:
         out = poisson_ball3(phi, [0.0, 0.0, 0.0])
         assert np.max(np.abs(out)) < 1e-10
 
-    def test_ungraded_rule_fails_near_boundary(self):
-        phi = SphereBoundaryFunction(lambda xi: xi, 1.0)
-        with pytest.raises(QuadratureAccuracyError):
-            poisson_ball3(phi, [0.0, 0.0, 0.99], 64, graded=False)
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.0, 0.0, 5e-4], [0.1, 0.2, -0.3]])
+    def test_oracle_called_once_on_all_nodes(self, x):
+        calls = []
+
+        def oracle(xi):
+            calls.append(xi.shape)
+            return xi
+
+        poisson_ball3(SphereBoundaryFunction(oracle, 1.0), x, 16)
+        assert len(calls) == 1
+        m, three = calls[0]
+        assert three == 3 and m % 16 == 0 and m >= 16 * 16
+
+    @pytest.mark.parametrize("r", [0.0, 5e-4, 1e-3, 0.37, 0.99, 0.999])
+    def test_polar_rule_panels(self, r):
+        u, w = _polar_rule(r, 64)
+        assert np.all(np.diff(u) > 0.0) and -1.0 < u[0] and u[-1] < 1.0
+        assert np.all(w > 0.0) and math.fsum(w) == pytest.approx(2.0, rel=1e-14)
+        # each panel integrates u^3 exactly, so the whole rule does
+        assert abs(float(w @ u**3)) < 1e-13
+        if r < 1e-3:
+            base = np.polynomial.legendre.leggauss(64)
+            assert np.array_equal(u, base[0]) and np.array_equal(w, base[1])
+        else:
+            # the panel next to u = 1 is (1 - r)^2 / (2 r) wide, or all of [-1, 1]
+            eps = (1.0 - r) ** 2 / (2.0 * r)
+            assert 1.0 - u[-1] < min(eps, 2.0)
 
     def test_refuses_rather_than_nan_next_to_the_sphere(self):
         # 1 + r^2 - 2 r u cancels to 0 at the kernel peak here; the rule
@@ -738,9 +774,7 @@ class TestPoissonBall3:
             assert np.linalg.norm(deriv) == pytest.approx(1.0, abs=1e-2)
 
     def test_tangential_derivative_of_lipschitz_data_bounded(self):
-        phi = SphereBoundaryFunction(
-            lambda xi: np.array([abs(xi[0] - 0.3), 0.0, 0.0]), 1.0
-        )
+        phi = SphereBoundaryFunction(lambda xi: np.abs(xi[:, :1] - 0.3) * [1.0, 0.0, 0.0], 1.0)
         mags = []
         for r in (0.9, 0.99, 0.999):
             h = (1.0 - r) / 10.0
@@ -755,9 +789,16 @@ class TestPoissonBall3:
             poisson_ball3(phi, [0.0, 0.0, 1.0])
 
     def test_oracle_shape_checked(self):
-        phi = SphereBoundaryFunction(lambda xi: np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            poisson_ball3(phi, [0.0, 0.0, 0.5])
+        bad = [
+            lambda xi: np.zeros(2),
+            lambda xi: np.array([1.0, -2.0, 0.5]),  # a (3,) return is not broadcast
+            lambda xi: xi[:, :2],
+            lambda xi: xi.T,
+            lambda xi: xi[:-1],
+        ]
+        for oracle in bad:
+            with pytest.raises(ValueError, match=r"\(m, 3\) real array"):
+                poisson_ball3(SphereBoundaryFunction(oracle, 1.0), [0.0, 0.0, 0.5])
 
     def test_lipschitz_constant_validated(self):
         with pytest.raises(ValueError):

@@ -493,6 +493,38 @@ class TestQuasihyperbolicNumeric:
         assert res.value >= exact - 5e-3
         assert res.value <= exact * 1.15
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-155])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["ball", "half_space"])
+    def test_tiny_gap_is_positive_and_at_least_j(self, kind, n, s):
+        # the squares of the gap underflowed, so the direct edge weighed 0
+        # and k read 0 for distinct points
+        D = canonical_domain(kind, n)
+        x = (0.0,) * (n - 1) + (0.5,)
+        y = (s,) + x[1:]
+        k = quasihyperbolic_numeric(D, x, y).value
+        j = float(j_metric(D, x, y))
+        assert k > 0.0
+        # the density is constant to the bit along so short a segment, and
+        # the Simpson weights of 257 nodes sum to 255.99999999999994, not
+        # 256, which puts k 1 to 3 ulps below j (and the true k)
+        assert k >= j * (1.0 - 2.0**-50)
+        assert k <= j * (1.0 + 1e-12)
+
+    def test_tiny_segment_length_is_scaled(self):
+        D = canonical_domain("ball", 2)
+        A = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.2]])
+        B = np.array([[1e-300, 1e-300], [0.0, 0.0], [0.3, -0.1]])
+        got = _segment_weights(D, A, B, 9)
+        assert got[0] == pytest.approx(math.hypot(1e-300, 1e-300), rel=1e-15, abs=0.0)
+        assert got[1] == 0.0
+        assert got[2] == segment_weight(D, A[2], B[2], 9)
+
+    def test_mu_bounds_of_tiny_gap_computes_k(self, half_plane):
+        # k read 0 here, and the planar majorant divided by log(1 / 0)
+        iv = mu_bounds(half_plane, (0.0, 1.0), (1e-300, 1.0), c_n=0.15)
+        assert 0.0 < iv.lo <= iv.hi < math.inf
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
     def test_refuses_tol_that_is_not_positive_and_finite(self, punctured_plane, tol):
         # a NaN tol never stops the doubling, so the search would run to
