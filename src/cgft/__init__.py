@@ -80,7 +80,6 @@ _LAZY: dict[str, str] = {
     "j_diameter": "metrics",
     "j_metric": "metrics",
     "lambda_bounds": "metrics",
-    "lambda_inverse_bounds": "metrics",
     "mu_ball_center": "metrics",
     "mu_bounds": "metrics",
     "quasihyperbolic_exact": "metrics",

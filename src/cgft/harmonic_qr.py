@@ -5,9 +5,9 @@ for polynomials g and h.  This module evaluates the exact Laplacian and
 gradient formulas for powers |f|^p, locates the optimal subharmonicity
 exponent of k-quasiregular harmonic maps, reconstructs harmonic extensions
 from boundary samples on the disk and from Lipschitz data on the 2-sphere,
-estimates boundary and closed-disk moduli of continuity by dense sampling,
-and measures quasihyperbolic bilipschitz ratios against a sampled image
-domain.
+estimates moduli of continuity on the sampled unit circle and, for the
+closed disk, on the boundary annulus 1 - delta <= |z| <= 1, and measures
+quasihyperbolic bilipschitz ratios against a sampled image domain.
 
 Maps are evaluated at arbitrary points by Horner (``HarmonicPlanarMap
 .__call__``) and on polar grids by aliasing (``on_polar_grid``): at the
@@ -82,9 +82,8 @@ HARMONIC_SCHWARZ_FACTOR = 4.0 / math.pi
 #: and the zeros of a nonconstant harmonic map are isolated.
 SUBHARMONIC_ZERO_EXCLUSION = 1e-8
 
-#: Angular count and radial cap of the closed-disk grids in modulus_profile.
-_PROFILE_ANGLES = 256
-_PROFILE_MAX_RADII = 4001
+#: Angular count of the annulus grid in closed_modulus.
+_CLOSED_ANGLES = 256
 
 #: Two samples closer than this count as evidence that a map identifies
 #: two distinct points.
@@ -458,7 +457,7 @@ def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
 
 
 # ---------------------------------------------------------------------------
-# moduli of continuity by dense sampling (lower approximations of the sups)
+# moduli of continuity on sampled grids (lower approximations of the sups)
 
 
 #: Absolute part of the skip margin in ``_polar_sup``, per gap summed
@@ -634,37 +633,28 @@ def boundary_modulus(phi: BoundaryFunction1D, delta: float) -> float:
     return _polar_sup(phi.samples[None, :], np.ones(1), delta)
 
 
-def closed_modulus(f: HarmonicPlanarMap, delta: float, grid) -> float:
+def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
     """sup |f(z) - f(w)| over polar-grid pairs of the closed disk within delta.
 
-    ``grid`` is an integer (both axes) or a pair (radial count, angular
-    count) of equispaced radii in [0, 1] and angles.  The pairs are every
-    two grid points at most delta apart, scanned by radius offset k = 0,
-    1, ... and within each k by increasing angular lag (1..n_t/2 for
-    k = 0, 0..n_t/2 both ways for k >= 1) until none is left within delta.
-    The grid values come from ``f.on_polar_grid``: the coefficients
-    folded by m mod n_t, weighted by the powers of each radius in one
-    contraction, and one inverse FFT per radius, which is exact for a
-    polynomial at the n_t-th roots of unity.  As in ``boundary_modulus``,
-    the angular lags of each k are bisected best first: a run of lags is
-    bounded through its head lag l0, |f(a) - f(b)| <= |f(a) - f(b0)| +
-    W_p with W_p the smaller of the two rows' sums of largest gaps at
-    lags 1, 2, ..., 2^(p-1), 2^p beyond the run's span; a run is left
-    unevaluated when that bound, with a margin of 1e-12 relative plus a
-    few subnormal steps per gap summed, is at or below the sup found so
-    far.  Rounding moves a computed gap by a few ulps only, so the value
-    is the same to the bit as a scan of every pair.  ``delta`` must be
-    positive and finite, and so must every grid value: a map whose folded
-    FFT overflows is refused, not scanned.
+    The sup is attained on the annulus 1 - delta <= |z| <= 1.  Fix h with
+    |h| <= delta.  A ``HarmonicPlanarMap`` is harmonic on all of C, so
+    g(z) = f(z + h) - f(z) is harmonic on the intersection of D and D - h,
+    and |g| is subharmonic there; on the closure it peaks where |z| = 1 or
+    |z + h| = 1.  One point of a maximising pair is therefore on the unit
+    circle, and the other, within delta of it, has radius >= 1 - delta.
+
+    The grid is the three rows 1 - delta, 1 - delta/2 and 1 (from radius 0
+    where delta >= 1) at 256 angles, so two rows are exactly delta apart.
+    Its values come from ``f.on_polar_grid``, and ``_polar_sup`` scans
+    every grid pair within delta, so the value is a sup over actual pairs,
+    a lower estimate of the modulus.  ``delta`` must be positive and
+    finite, and so must every grid value: a map whose folded FFT overflows
+    is refused, not scanned.
     """
     delta = _checked_delta(delta)
-    pair = (grid, grid) if isinstance(grid, (int, np.integer)) else grid
-    n_r, n_t = (int(g) for g in pair)
-    if n_r < 2 or n_t < 8:
-        raise ValueError("grid must provide at least 2 radii and 8 angles")
-    radii = np.linspace(0.0, 1.0, n_r)
+    radii = np.linspace(max(0.0, 1.0 - delta), 1.0, 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = f.on_polar_grid(radii, n_t)
+        values = f.on_polar_grid(radii, _CLOSED_ANGLES)
     if not np.isfinite(values).all():
         raise ValueError("grid values must be finite")
     return _polar_sup(values, radii, delta)
@@ -676,21 +666,14 @@ def modulus_profile(
     *,
     boundary_N: int = 8192,
 ) -> list[ModulusRow]:
-    """Boundary and closed-disk moduli for each delta, on matched grids.
+    """Boundary and closed-disk moduli for each delta.
 
-    The closed-disk grid has 256 angles, and its radial resolution follows
-    delta (spacing about delta/2, capped at 4001 radii) so that
-    near-boundary radial pairs at distance delta are present in the grid.
+    The boundary modulus scans ``boundary_N`` samples of the unit circle,
+    the closed one the annulus rows of ``closed_modulus``.
     """
     deltas = [_checked_delta(d) for d in deltas]
     phi = boundary_samples_of(f, boundary_N)
-    rows = []
-    for d in deltas:
-        n_r = int(min(_PROFILE_MAX_RADII, max(21, round(2.0 / d) + 1)))
-        rows.append(
-            ModulusRow(d, boundary_modulus(phi, d), closed_modulus(f, d, (n_r, _PROFILE_ANGLES)))
-        )
-    return rows
+    return [ModulusRow(d, boundary_modulus(phi, d), closed_modulus(f, d)) for d in deltas]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ __all__ = [
     "mu_ball_center",
     "mu_bounds",
     "lambda_bounds",
-    "lambda_inverse_bounds",
 ]
 
 
@@ -572,6 +571,7 @@ def quasihyperbolic_exact(domain_kind: str, x, y) -> float:
 
 _SIMPSON_MIN = 9
 _QH_ROWS = 4096  # segments per oracle call: O(_QH_ROWS * m) temporaries
+_QH_MAX_LEVEL = 5  # finest grid: 8 * 2^5 cells a side in the plane
 
 #: lattice offsets out to Euclidean reach 2.2 spacings, the lexicographically
 #: positive half, so that each undirected edge is built once from its lower end
@@ -726,9 +726,7 @@ def _grid_shortest_path(
     return None
 
 
-def quasihyperbolic_numeric(
-    D: DomainSpec, x, y, tol: float = 1e-3, max_level: int = 5
-) -> MetricValue:
+def quasihyperbolic_numeric(D: DomainSpec, x, y, tol: float = 1e-3) -> MetricValue:
     """Graph upper approximation of the quasihyperbolic distance.
 
     Vertices are the points in D of a cubic lattice around the pair, with
@@ -757,7 +755,8 @@ def quasihyperbolic_numeric(
     30 % of their time each on the weights and in the Python Dijkstra
     loop, 13 % on the lattice oracle and the bound, 10 % each on the direct
     edge and the CSR arrays, and 8 % on the gather.  The grid doubles until
-    two successive values differ by less than tol.
+    two successive values differ by less than tol, up to level
+    ``_QH_MAX_LEVEL``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
@@ -770,7 +769,7 @@ def quasihyperbolic_numeric(
     D.boundary_distance(px)
     D.boundary_distance(py)
     prev: float | None = None
-    for level in range(max_level + 1):
+    for level in range(_QH_MAX_LEVEL + 1):
         val = _grid_shortest_path(D, ax, ay, level)
         if val is None:
             prev = None
@@ -781,7 +780,7 @@ def quasihyperbolic_numeric(
     if prev is None:
         raise ConnectivityError(
             f"no admissible path between {px.coords} and {py.coords} "
-            f"at refinement level {max_level}"
+            f"at refinement level {_QH_MAX_LEVEL}"
         )
     return MetricValue(prev, exact=False)
 
@@ -898,12 +897,3 @@ def lambda_bounds(
             f"lower bound {lo} exceeds upper bound {hi}; check the constants"
         )
     return Interval(lo, hi)
-
-
-def lambda_inverse_bounds(D: DomainSpec, x, y, *, c_n: float | None = None) -> Interval:
-    """Reciprocal convenience for lambda_bounds (1/lambda is a metric-like gauge)."""
-    iv = lambda_bounds(D, x, y, c_n=c_n)
-    hi = math.inf if iv.lo == 0.0 else 1.0 / iv.lo
-    lo = 0.0 if math.isinf(iv.hi) else 1.0 / iv.hi
-    return Interval(lo, hi)
-

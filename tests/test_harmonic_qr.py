@@ -403,35 +403,33 @@ class TestBoundaryModulus:
 class TestClosedModulus:
     def test_identity_map_attains_delta(self):
         f = HarmonicPlanarMap((0, 1), (0,))
-        got = closed_modulus(f, 0.1, (21, 64))
+        got = closed_modulus(f, 0.1)
         assert got == pytest.approx(0.1, rel=1e-9)
 
     def test_constant_is_zero(self):
         f = HarmonicPlanarMap((4 + 2j,), (0,))
-        assert closed_modulus(f, 0.5, 32) == 0.0
+        assert closed_modulus(f, 0.5) == 0.0
 
     def test_dominates_matched_boundary_modulus(self):
         f = HarmonicPlanarMap.shear(0.5)
         omega = boundary_modulus(boundary_samples_of(f, 64), 0.25)
-        omega_tilde = closed_modulus(f, 0.25, (15, 64))
+        omega_tilde = closed_modulus(f, 0.25)
         assert omega_tilde >= omega - 1e-12
 
     def test_monotone_in_delta(self):
         f = HarmonicPlanarMap.shear(0.3)
-        assert closed_modulus(f, 0.05, (41, 64)) <= closed_modulus(f, 0.2, (41, 64))
+        assert closed_modulus(f, 0.05) <= closed_modulus(f, 0.2)
 
     def test_grid_validation(self):
         f = HarmonicPlanarMap((0, 1), (0,))
         with pytest.raises(ValueError):
-            closed_modulus(f, 0.1, (1, 64))
-        with pytest.raises(ValueError):
-            closed_modulus(f, -0.1, (21, 64))
+            closed_modulus(f, -0.1)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):
         f = HarmonicPlanarMap.shear(0.5)
         with pytest.raises(ValueError, match="delta must be positive and finite"):
-            closed_modulus(f, delta, (21, 64))
+            closed_modulus(f, delta)
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             modulus_profile(f, [0.1, delta], boundary_N=64)
 
@@ -439,7 +437,31 @@ class TestClosedModulus:
         # the folded FFT overflows; the scan of an inf grid returned inf
         f = HarmonicPlanarMap((0, 1e308, 1e308), ())
         with pytest.raises(ValueError, match="grid values must be finite"):
-            closed_modulus(f, 0.1, (21, 64))
+            closed_modulus(f, 0.1)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.3, 0.1, 0.03, 0.01])
+    @pytest.mark.parametrize("kind", ["shear", "series", "random-0", "random-1", "random-2"])
+    def test_at_least_the_full_disk_scan(self, kind, delta):
+        # the annulus rows reach what a scan of the whole disk reaches: the
+        # full grid has radii linspace(0, 1, max(21, round(2 / delta) + 1))
+        if kind == "shear":
+            f = HarmonicPlanarMap.shear(0.5)
+        elif kind == "series":
+            f = alternating_cosine_map(128)
+        else:
+            rng = np.random.default_rng([int(kind[-1]), 26])
+            f = _random_map(rng, degree=int(rng.integers(2, 60)))
+        radii = np.linspace(0.0, 1.0, max(21, round(2.0 / delta) + 1))
+        full = _polar_sup(f.on_polar_grid(radii, 256), radii, delta)
+        assert closed_modulus(f, delta) >= full * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("delta", [0.03, 1e-4])
+    def test_shear_reaches_its_exact_modulus(self, delta):
+        # the sup over the closed disk is 1.5 delta, at a radial pair ending
+        # on the circle; at these deltas a full-disk grid of step about
+        # delta / 2 held no such pair (0.044985 at 0.03, 1.4725e-4 at 1e-4)
+        got = closed_modulus(HarmonicPlanarMap.shear(0.5), delta)
+        assert got == pytest.approx(1.5 * delta, rel=1e-12)
 
 
 def _all_pairs_sup(z: np.ndarray, F: np.ndarray, delta: float) -> float:
@@ -537,7 +559,7 @@ class TestModuliMatchAllPairs:
         z = radii[:, None] * np.exp(1j * angles)[None, :]
         F = f.on_polar_grid(radii, n_t)
         for delta in _deltas(rng, z):
-            assert closed_modulus(f, delta, (n_r, n_t)) == _all_pairs_sup(z, F, delta)
+            assert _polar_sup(F, radii, delta) == _all_pairs_sup(z, F, delta)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_boundary_modulus(self, seed):
@@ -604,7 +626,7 @@ class TestModuliMatchAllPairsWhereBlocksSkip:
         F = f.on_polar_grid(radii, n_t)
         gaps = np.abs(z.ravel()[0] - z.ravel())
         for delta in [0.05, 0.3, 1.0, float(rng.choice(gaps[gaps > 0]))]:
-            assert closed_modulus(f, delta, (n_r, n_t)) == _all_pairs_sup_in_slabs(z, F, delta)
+            assert _polar_sup(F, radii, delta) == _all_pairs_sup_in_slabs(z, F, delta)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_phase_shifted_rows(self, seed):
@@ -659,8 +681,10 @@ class TestModuliMatchAllPairsWhereBlocksSkip:
         assert len(calls) <= 24
         # closed grid from radius 0: k = 0 keeps all 64 lags, and each k
         # with r_k <= delta its lag 0 plus 64 lags both ways
+        radii = np.linspace(0.0, 1.0, 12)
+        F = _skip_test_maps("random").on_polar_grid(radii, 128)
         calls.clear()
-        closed_modulus(_skip_test_maps("random"), 0.3, (12, 128))
+        _polar_sup(F, radii, 0.3)
         assert len(calls) <= (64 + 3 * 129) // 2
 
 

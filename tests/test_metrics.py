@@ -28,7 +28,6 @@ from cgft.metrics import (
     j_diameter,
     j_metric,
     lambda_bounds,
-    lambda_inverse_bounds,
     mu_ball_center,
     mu_bounds,
     quasihyperbolic_exact,
@@ -882,14 +881,6 @@ class TestLambdaBounds:
                 continue
             iv = lambda_bounds(D, x, y)
             assert 0.0 <= iv.lo <= iv.hi
-
-    def test_inverse_convenience(self, punctured_plane):
-        D = punctured_plane.with_flags(qed_constant=1.0)
-        x, y = (1.0, 0.0), (2.0, 0.0)
-        iv = lambda_bounds(D, x, y)
-        inv = lambda_inverse_bounds(D, x, y)
-        assert inv.lo == pytest.approx(1.0 / iv.hi, rel=1e-12)
-        assert inv.hi == pytest.approx(1.0 / iv.lo, rel=1e-12)
 
 
 class TestLambdaPuncturedCircle:
