@@ -20,6 +20,7 @@ grid values computed this way.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -478,8 +479,13 @@ def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
     delta form a prefix, compared in one array operation.  Offset k = 0
     takes lags 1..n_t/2, each k >= 1 lags 0..n_t/2 both ways; a k ends at
     the first lag that keeps no row, the scan at the first k >= 1 with no
-    row at lag 0.  Pairs at exactly delta count: the test carries a
-    cushion of a part in 1e12.
+    row at lag 0.  Pairs at exactly delta count: the test admits
+    distances up to delta (1 + 1e-12) + 1e-15, a relative part in 1e12
+    for the rounding of the computed distance and an absolute 1e-15 for
+    grids whose rows or chords carry an error of about an ulp of 1 at any
+    delta.  At delta below about 1e-3 the absolute part is the larger, so
+    pairs up to 1e-15 beyond delta count: a sup over them can exceed the
+    exact modulus by about 1e-15 times the Lipschitz constant.
 
     Lags 1..L of each k are bisected best first, and a run of lags whose
     pairs cannot raise the sup is never evaluated.  With G_r(t) the
@@ -643,8 +649,12 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
     |z + h| = 1.  One point of a maximising pair is therefore on the unit
     circle, and the other, within delta of it, has radius >= 1 - delta.
 
-    The grid is the three rows 1 - delta, 1 - delta/2 and 1 (from radius 0
-    where delta >= 1) at 256 angles, so two rows are exactly delta apart.
+    The grid is the three rows r, (r + 1)/2 and 1 at 256 angles, where r
+    is the least double with 1 - r <= delta (0 where delta >= 1).  For
+    delta <= 1/2 the difference 1 - r is exact (Sterbenz), so the outer
+    rows are at most delta apart, and exactly delta where 1 - delta is a
+    double; a rounded 1 - delta could put them up to half an ulp of 1
+    further apart, and the cushion of ``_polar_sup`` would count that pair.
     Its values come from ``f.on_polar_grid``, and ``_polar_sup`` scans
     every grid pair within delta, so the value is a sup over actual pairs,
     a lower estimate of the modulus.  ``delta`` must be positive and
@@ -652,7 +662,10 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
     is refused, not scanned.
     """
     delta = _checked_delta(delta)
-    radii = np.linspace(max(0.0, 1.0 - delta), 1.0, 3)
+    inner = max(0.0, 1.0 - delta)
+    if 1.0 - inner > delta:  # 1 - delta rounded down
+        inner = math.nextafter(inner, 1.0)
+    radii = np.linspace(inner, 1.0, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         values = f.on_polar_grid(radii, _CLOSED_ANGLES)
     if not np.isfinite(values).all():
@@ -689,6 +702,21 @@ def _orthonormal_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n)``, built once per node count and returned read-only.
+
+    Each build is an eigensolve plus a Newton polish, about 0.5 ms at 32
+    nodes, and the Poisson and Jacobian-mean quadratures ask for the same
+    few sizes over and over.  The cached arrays refuse writes, so no caller
+    can change the rule another caller gets.
+    """
+    rule = nleg.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _polar_rule(r: float, quad_N: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights in u = cos(polar angle) on [-1, 1].
 
@@ -698,15 +726,17 @@ def _polar_rule(r: float, quad_N: int) -> tuple[np.ndarray, np.ndarray]:
     per-panel convergence rate at every r.  Every panel takes the same
     Gauss-Legendre rule of max(8, quad_N // panels) nodes, mapped onto all
     panels in one broadcast.  Below r = 1e-3 the kernel is nearly flat and
-    one rule of quad_N nodes covers [-1, 1].
+    one rule of quad_N nodes covers [-1, 1]; that rule is returned as the
+    cached read-only pair of ``_gauss_legendre``, which also supplies the
+    panel rule.
     """
     if r < 1e-3:
-        return nleg.leggauss(quad_N)
+        return _gauss_legendre(quad_N)
     s = (1.0 - r) ** 2 / (2.0 * r) * 4.0 ** np.arange(39)
     edges = np.concatenate(([-1.0], 1.0 - s[1.0 - s > -1.0][::-1], [1.0]))
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    x, w = nleg.leggauss(max(8, quad_N // (edges.size - 1)))
+    x, w = _gauss_legendre(max(8, quad_N // (edges.size - 1)))
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
@@ -905,8 +935,10 @@ def alpha_f_disk(
     """exp of half the area mean of log J_f over the disk touching the boundary.
 
     The mean is taken over B(z, 1-|z|) by Gauss-Legendre in the squared
-    radius and equispaced angles.  Since log(1/J_f) is subharmonic for an
-    orientation-preserving harmonic map, sqrt(J_f(z)) dominates the result.
+    radius and equispaced angles; the radial rule of each size is built
+    once and cached (``_gauss_legendre``).  Since log(1/J_f) is
+    subharmonic for an orientation-preserving harmonic map, sqrt(J_f(z))
+    dominates the result.
     """
     z = complex(z)
     d = 1.0 - abs(z)
@@ -914,7 +946,7 @@ def alpha_f_disk(
         raise ValueError("z must lie in the open unit disk")
     if radial_N < 2 or angular_N < 4:
         raise ValueError("quadrature sizes are too small")
-    xg, wg = nleg.leggauss(int(radial_N))
+    xg, wg = _gauss_legendre(int(radial_N))
     t = 0.5 * (xg + 1.0)
     wt = 0.5 * wg
     angles = np.arange(int(angular_N)) * (_TWO_PI / int(angular_N))

@@ -18,7 +18,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -628,9 +628,36 @@ def _segment_weights(D: DomainSpec, A: np.ndarray, B: np.ndarray, m: int) -> np.
     return out
 
 
-def _grid_shortest_path(
-    D: DomainSpec, ax: np.ndarray, ay: np.ndarray, level: int
-) -> float | None:
+class _QHPair(NamedTuple):
+    """What every level's graph of one x-y pair shares (``_qh_pair``)."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    dx: float  # d(x)
+    dy: float  # d(y)
+    center: np.ndarray  # of the lattice
+    half: float  # half the lattice side
+    direct: float  # weight of the direct x-y edge, 257 Simpson nodes
+
+
+def _qh_pair(D: DomainSpec, x, y) -> _QHPair:
+    """The level-invariant inputs of ``_grid_shortest_path``, found once.
+
+    d(x) and d(y) come from ``D.boundary_distance``, which refuses a point
+    outside D.  The lattice is centred on the midpoint, 1.6 max(|x - y|,
+    d(x), d(y)) from centre to side.
+    """
+    px, py = as_point(x), as_point(y)
+    dx, dy = D.boundary_distance(px), D.boundary_distance(py)
+    ax, ay = px.array(), py.array()
+    gap = float(np.linalg.norm(ax - ay))
+    if gap * gap < sys.float_info.min:  # the squares underflow: scale instead
+        gap = math.dist(ax, ay)
+    direct = float(_segment_weights(D, ax[None, :], ay[None, :], 257)[0])
+    return _QHPair(ax, ay, dx, dy, 0.5 * (ax + ay), 1.6 * max(gap, dx, dy), direct)
+
+
+def _grid_shortest_path(D: DomainSpec, pair: _QHPair, level: int) -> float | None:
     """Shortest x-y path on one level's lattice graph, or None if none.
 
     Only lattice points that could lie on a path lighter than the direct
@@ -652,17 +679,10 @@ def _grid_shortest_path(
     keeps all its vertices.  So the pruned graph returns the full graph's
     value to the bit.  An infinite U prunes nothing.
     """
+    ax, ay, dx, dy, center, half, direct = pair
     n = D.dimension
     N = (8 if n == 2 else 4) * 2**level
-    center = 0.5 * (ax + ay)
-    gap = float(np.linalg.norm(ax - ay))
-    if gap * gap < sys.float_info.min:  # the squares underflow: scale instead
-        gap = math.dist(ax, ay)
-    dx = np.asarray(D.dist_to_boundary(ax), dtype=float).item()
-    dy = np.asarray(D.dist_to_boundary(ay), dtype=float).item()
-    half = 1.6 * max(gap, dx, dy)
     spacing = 2.0 * half / N
-    direct = float(_segment_weights(D, ax[None, :], ay[None, :], 257)[0])
 
     axes = [np.linspace(c - half, c + half, N + 1) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -739,24 +759,26 @@ def quasihyperbolic_numeric(D: DomainSpec, x, y, tol: float = 1e-3) -> MetricVal
     satisfy h < d_j + d_{j+1}: when d is the distance to the boundary the
     balls B(p_j, d_j) then cover the segment, so every path lies in D.
 
-    Each level first weighs the direct edge, then asks the oracle about
-    every lattice point, and keeps as vertices only the points in D that
-    could lie on a path lighter than the direct edge (a Gehring-Palka bound;
-    see ``_grid_shortest_path``).  The value is the one the whole lattice
-    gives, to the bit.  Each kept point brings about 6 (plane) or 16
-    (space) segments of 9 oracle points each, found by one gather over the
-    half stencil, plus Dijkstra on the resulting CSR arrays.  Over the
-    benchmark's query pairs the bound keeps about 38 % of the lattice
-    points in D and 37 % of the segments; where the direct edge leaves D it
-    prunes nothing, and a level-4 planar graph then has about 10^5
-    segments.  Simpson nodes reach the oracle ``_QH_ROWS`` segments at a
-    time, so beyond the O(segments) graph the temporaries stay
-    O(_QH_ROWS).  Over a benchmark ``queries`` unit the levels spend about
+    The direct edge, d(x), d(y) and the lattice's centre and extent do not
+    depend on the level, so they are found once per call (``_qh_pair``).
+    Each level then asks the oracle about every lattice point, and keeps as
+    vertices only the points in D that could lie on a path lighter than
+    the direct edge (a Gehring-Palka bound; see ``_grid_shortest_path``).
+    The value is the one the whole lattice gives, to the bit.  Each kept
+    point brings about 6 (plane) or 16 (space) segments of 9 oracle points
+    each, found by one gather over the half stencil, plus Dijkstra on the
+    resulting CSR arrays.  Over the benchmark's query pairs the bound
+    keeps about 38 % of the lattice points in D and 37 % of the segments;
+    where the direct edge leaves D it prunes nothing, and a level-4 planar
+    graph then has about 10^5 segments.  Simpson nodes reach the oracle
+    ``_QH_ROWS`` segments at a time, so beyond the O(segments) graph the
+    temporaries stay O(_QH_ROWS).  Over a benchmark ``queries`` unit the
+    levels spent about
     30 % of their time each on the weights and in the Python Dijkstra
     loop, 13 % on the lattice oracle and the bound, 10 % each on the direct
-    edge and the CSR arrays, and 8 % on the gather.  The grid doubles until
-    two successive values differ by less than tol, up to level
-    ``_QH_MAX_LEVEL``.
+    edge (then weighed at every level) and the CSR arrays, and 8 % on the
+    gather.  The grid doubles until two successive values differ by less
+    than tol, up to level ``_QH_MAX_LEVEL``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
@@ -765,12 +787,10 @@ def quasihyperbolic_numeric(D: DomainSpec, x, y, tol: float = 1e-3) -> MetricVal
         return MetricValue(0.0, exact=True)
     if D.dimension not in (2, 3):
         raise ValueError("numeric quasihyperbolic supports dimensions 2 and 3")
-    ax, ay = px.array(), py.array()
-    D.boundary_distance(px)
-    D.boundary_distance(py)
+    pair = _qh_pair(D, px, py)
     prev: float | None = None
     for level in range(_QH_MAX_LEVEL + 1):
-        val = _grid_shortest_path(D, ax, ay, level)
+        val = _grid_shortest_path(D, pair, level)
         if val is None:
             prev = None
             continue

@@ -86,7 +86,18 @@ def check_dimension(n: int) -> int:
 
 
 def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers."""
+    """Arithmetic-geometric mean of two positive numbers.
+
+    The pair (a, b) -> ((a + b)/2, sqrt(ab)) is iterated at most 100
+    times, and the loop stops early in two ways: when |a - b| <= 1e-16 a,
+    or when a step leaves (a, b) unchanged.  The first rarely holds once
+    the pair has settled, since a and b then often sit one ulp (about
+    2.2e-16 a) apart.  The second is a fixed point of the rounded step:
+    every later step would return the same pair, so stopping there gives
+    to the bit what running out the 100 steps would.  Quadratic
+    convergence reaches one of the two in 4-6 steps for b/a in [1e-3, 1]
+    and 13 at b/a = 1e-300 (Borwein and Borwein 1987).
+    """
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("agm needs finite positive arguments")
     a = float(a)
@@ -94,7 +105,10 @@ def agm(a: float, b: float) -> float:
     for _ in range(100):
         if abs(a - b) <= 1e-16 * a:
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        m, g = 0.5 * (a + b), math.sqrt(a * b)
+        if m == a and g == b:
+            break
+        a, b = m, g
     return 0.5 * (a + b)
 
 

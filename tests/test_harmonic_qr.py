@@ -3,6 +3,7 @@
 import cmath
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from cgft.harmonic_qr import (
     quasiregularity_constant,
     subharmonic_exponent,
     subharmonic_profile,
+    _gauss_legendre,
     _polar_rule,
     _polar_sup,
 )
@@ -463,6 +465,44 @@ class TestClosedModulus:
         got = closed_modulus(HarmonicPlanarMap.shear(0.5), delta)
         assert got == pytest.approx(1.5 * delta, rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.3, 0.03, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 0.5, 0.7, 2.0])
+    def test_inner_row_is_the_least_double_within_delta(self, delta, monkeypatch):
+        # 1 - delta rounds below the exact value at 0.3, 0.03, 1e-3, 1e-6,
+        # 1e-8 and 1e-10, which put the outer rows up to half an ulp of 1
+        # more than delta apart
+        seen = []
+        grid = HarmonicPlanarMap.on_polar_grid
+        monkeypatch.setattr(
+            HarmonicPlanarMap, "on_polar_grid", lambda f, radii, n_t: seen.append(radii) or grid(f, radii, n_t)
+        )
+        closed_modulus(HarmonicPlanarMap.shear(0.5), delta)
+        r = float(seen[0][0])
+        assert 1 - Fraction(r) <= Fraction(delta)
+        if r > 0.0:
+            assert 1 - Fraction(math.nextafter(r, 0.0)) > Fraction(delta)
+        if delta <= 0.5:
+            assert 1.0 - r == 1 - Fraction(r)  # exact, so the scan sees the same gap
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_rotated_shears_within_rounding_of_their_modulus(self, delta):
+        # e^(i theta) (z + 0.5 conj z) is 1.5-Lipschitz and stretches most
+        # along the real axis, so its modulus is 1.5 delta.  At these deltas
+        # the only grid pairs within delta are radial (the angular step is
+        # 2 sin(pi / 256) > 0.024), and the outer rows are 1 - r apart, with
+        # delta - ulp(0.75) < 1 - r <= delta; so the exact sup over the grid
+        # lies within 0.75 ulp(1.5) below 1.5 delta and never above it.  The
+        # computed sup adds the rounding of two grid values, each an inverse
+        # FFT of two modes with |f| <= 1.5 that lands within about an ulp of
+        # max |f|, and of their difference and its modulus.  So c = 4 ulps of
+        # max |f| = 1.5 bounds the distance either way; these ten rotations
+        # reach 1.9 over the five deltas.
+        ulp = math.ulp(1.5)
+        rng = np.random.default_rng(27)
+        for theta in rng.uniform(0.0, 2.0 * math.pi, 10):
+            turn = cmath.exp(1j * theta)
+            f = HarmonicPlanarMap((0.0, turn), (0.0, 0.5 * turn.conjugate()))
+            assert abs(closed_modulus(f, delta) - 1.5 * delta) <= 4 * ulp
+
 
 def _all_pairs_sup(z: np.ndarray, F: np.ndarray, delta: float) -> float:
     """sup |F(a) - F(b)| over every pair of points a, b within delta."""
@@ -764,6 +804,18 @@ class TestPoissonBall3:
         assert len(calls) == 1
         m, three = calls[0]
         assert three == 3 and m % 16 == 0 and m >= 16 * 16
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_gauss_legendre_is_leggauss_built_once(self, n):
+        x, w = _gauss_legendre(n)
+        base = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, base[0]) and np.array_equal(w, base[1])
+        assert _gauss_legendre(n)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # the rule below r = 1e-3 is the cached pair itself
+        assert _polar_rule(0.0, n)[0] is x
 
     @pytest.mark.parametrize("r", [0.0, 5e-4, 1e-3, 0.37, 0.99, 0.999])
     def test_polar_rule_panels(self, r):

@@ -38,6 +38,7 @@ from cgft.metrics import (
 from cgft.metrics import (
     _QH_ROWS,
     _grid_shortest_path,
+    _qh_pair,
     _norms,
     _segment_weights,
     _simpson_weights,
@@ -670,7 +671,7 @@ class TestQuasihyperbolicGraph:
         D, ax, ay = make(), np.array(x), np.array(y)
         expected = loop_grid_path(D, ax, ay, level)
         assert expected is not None
-        assert _grid_shortest_path(D, ax, ay, level) == expected
+        assert _grid_shortest_path(D, _qh_pair(D, ax, ay), level) == expected
 
     def test_endpoint_lies_on_a_node(self):
         for N in (8, 16, 32):
@@ -694,7 +695,7 @@ class TestQuasihyperbolicGraph:
             u = rng.normal(size=n)
             ay = ax + rng.uniform(0.5, 1.0) * D.boundary_distance(ax) * u / np.linalg.norm(u)
             spy, sizes = counted(D)
-            assert _grid_shortest_path(spy, ax, ay, level) == loop_grid_path(D, ax, ay, level)
+            assert _grid_shortest_path(spy, _qh_pair(spy, ax, ay), level) == loop_grid_path(D, ax, ay, level)
             axes, _ = lattice_axes(D, ax, ay, level)
             grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
             inside = np.count_nonzero(D.dist_to_boundary(grid) > 0.0)
@@ -708,7 +709,7 @@ class TestQuasihyperbolicGraph:
         # the unpruned level-2 graph of this pair asked the oracle about
         # 28,105 points, 26,757 of them the Simpson nodes of 2,973 segments
         D, sizes = counted(canonical_domain("ball", 2))
-        _grid_shortest_path(D, np.array([0.2, 0.1]), np.array([-0.4, 0.3]), 2)
+        _grid_shortest_path(D, _qh_pair(D, (0.2, 0.1), (-0.4, 0.3)), 2)
         assert sizes == [1, 1, 257, 33**2, 9 * 382]
 
     def test_level_3_spans_several_chunks(self):
@@ -720,7 +721,7 @@ class TestQuasihyperbolicGraph:
         spy, sizes = counted(D)
         expected = loop_grid_path(D, ax, ay, 3)
         assert expected is not None
-        assert _grid_shortest_path(spy, ax, ay, 3) == expected
+        assert _grid_shortest_path(spy, _qh_pair(spy, ax, ay), 3) == expected
         assert sizes.count(9 * _QH_ROWS) >= 3
 
     @pytest.mark.parametrize("m", [9, 257])
@@ -743,7 +744,7 @@ class TestQuasihyperbolicGraph:
         ax, ay = np.array([1.0, 0.0]), np.array([-0.99, 0.06])
         tracemalloc.start()
         try:
-            _grid_shortest_path(D, ax, ay, 4)
+            _grid_shortest_path(D, _qh_pair(D, ax, ay), 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cgft.special_functions import (
@@ -72,7 +72,38 @@ class TestDimension:
             check_dimension(bad)
 
 
+def agm_100_steps(a: float, b: float) -> float:
+    """agm as it was before the fixed-point stop: a settled pair runs on to 100 steps."""
+    a, b = float(a), float(b)
+    for _ in range(100):
+        if abs(a - b) <= 1e-16 * a:
+            break
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+AGM_PAIRS = st.one_of(
+    # both arguments log-uniform in [1e-300, 1e300]
+    st.tuples(LOG_UNIFORM, LOG_UNIFORM),
+    # (1, r), r in (0, 1), uniform and log-uniform down to ratios near 1e-300
+    st.tuples(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.tuples(st.just(1.0), st.floats(-300.0, 0.0, exclude_max=True).map(lambda e: 10.0**e)),
+    # pairs within 1e-12 of each other, relative
+    st.tuples(LOG_UNIFORM, st.floats(-1e-12, 1e-12)).map(lambda p: (p[0], p[0] * (1.0 + p[1]))),
+)
+
+
 class TestAgm:
+    @given(AGM_PAIRS)
+    @example((1.0, 1e-300))
+    @example((1e300, 1e-300))
+    @example((1.0, math.nextafter(1.0, 0.0)))
+    def test_same_bits_as_the_100_step_loop(self, pair):
+        a, b = pair
+        assert agm(a, b) == agm_100_steps(a, b)
+        assert agm(b, a) == agm_100_steps(b, a)
+
     def test_fixed_points(self):
         assert agm(1.0, 1.0) == 1.0
         assert agm(3.7, 3.7) == pytest.approx(3.7, abs=0)
