@@ -83,8 +83,10 @@ HARMONIC_SCHWARZ_FACTOR = 4.0 / math.pi
 #: and the zeros of a nonconstant harmonic map are isolated.
 SUBHARMONIC_ZERO_EXCLUSION = 1e-8
 
-#: Angular count of the annulus grid in closed_modulus.
+#: Angular count of the annulus grid in closed_modulus, and sin(pi l / 256)
+#: for its lags l = 0..128.
 _CLOSED_ANGLES = 256
+_CLOSED_SINES = np.array([math.sin(math.pi * lag / _CLOSED_ANGLES) for lag in range(129)])
 
 #: Two samples closer than this count as evidence that a map identifies
 #: two distinct points.
@@ -461,152 +463,101 @@ def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
 # moduli of continuity on sampled grids (lower approximations of the sups)
 
 
-#: Absolute part of the skip margin in ``_polar_sup``, per gap summed
+#: Absolute part of the skip margin in ``_circle_sup``, per gap summed
 #: into a bound: a few subnormal steps, the error of a gap whose modulus
 #: underflows.
 _GAP_SLACK = 8 * math.ulp(0.0)
 
 
-def _polar_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
-    """sup |F[a] - F[b]| over polar-grid points a, b at most delta apart.
+def _circle_sup(s: np.ndarray, delta: float) -> float:
+    """sup |s[i] - s[j]| over samples of the unit circle at most delta apart.
 
-    Row i of ``F`` holds samples at radius ``radii[i]`` and the n_t angles
-    2 pi j / n_t.  The radii must be increasing and equispaced (no gap
-    r_{i+k} - r_i may shrink as i grows), or pairs are silently missed:
-    the scan relies on the distance hypot(r_{i+k} - r_i, 2 sqrt(r_i
-    r_{i+k}) sin(pi lag / n_t)) of (i, j) and (i + k, j + lag) growing
-    with i and lag, so at each radius offset k and lag the rows within
-    delta form a prefix, compared in one array operation.  Offset k = 0
-    takes lags 1..n_t/2, each k >= 1 lags 0..n_t/2 both ways; a k ends at
-    the first lag that keeps no row, the scan at the first k >= 1 with no
-    row at lag 0.  Pairs at exactly delta count: the test admits
-    distances up to delta (1 + 1e-12) + 1e-15, a relative part in 1e12
-    for the rounding of the computed distance and an absolute 1e-15 for
-    grids whose rows or chords carry an error of about an ulp of 1 at any
-    delta.  At delta below about 1e-3 the absolute part is the larger, so
-    pairs up to 1e-15 beyond delta count: a sup over them can exceed the
-    exact modulus by about 1e-15 times the Lipschitz constant.
+    Sample j sits at angle 2 pi j / n, so a pair at angular lag l is
+    2 sin(pi l / n) apart, a chord that grows with l up to n/2.  The
+    pairs within delta are those at lags 1..L, with L the last lag whose
+    chord passes the test 2 sin(pi l / n) <= delta (1 + 1e-12) + 1e-15
+    (``math.sin``): pairs at exactly delta count, the relative part
+    covers the rounding of the computed chord, and the absolute part
+    counts a pair whose chord carries an error of about an ulp of 1 at
+    any delta.
 
-    Lags 1..L of each k are bisected best first, and a run of lags whose
-    pairs cannot raise the sup is never evaluated.  With G_r(t) the
-    largest gap within row r at angular lag t, W_p[r] = G_r(1) + G_r(2) +
-    ... + G_r(2^(p-1)) bounds every gap within row r at lags 1..2^p - 1,
-    since each such lag is a sum of distinct powers of two below 2^p
-    (the triangle inequality along them); filling W takes one pass per
-    level, about log2(L) in all.  For a run of lags l0..l1 with
-    l1 - l0 < 2^p, H[i] = max_j |F[i, j] - F[i+k, j+l0]| and l0 <= l <=
-    l1, the triangle inequality through F[i+k, j+l0] gives
+    Lags 1..L are bisected best first, and a run of lags whose pairs
+    cannot raise the sup is never evaluated.  With G(t) the largest gap
+    at lag t, W_p = G(1) + G(2) + ... + G(2^(p-1)) bounds every gap at
+    lags 1..2^p - 1, since each such lag is a sum of distinct powers of
+    two below 2^p (the triangle inequality along them); W takes one pass
+    per level, about log2(L) in all.  For a run of lags l0..l1 with
+    l1 - l0 < 2^p, H = max_j |s[j] - s[j+l0]| and l0 <= l <= l1, the
+    triangle inequality through s[j+l0] gives
 
-        |F[i, j] - F[i+k, j+l]| <= H[i] + W_p[i+k],
+        |s[j] - s[j+l]| <= H + W_p.
 
-    and through F[i, j+l-l0] the same with W_p[i], since H[i] is a
-    maximum over the whole circle; the reverse pairs of k >= 1 likewise.
     So a run's head lag l0 is evaluated exactly (it counts toward the
-    sup) with a maximum per row, and the run is bounded by the largest
-    H[i] + min(W_p[i], W_p[i+k]) over the rows of lag l0 + 1.  Runs wait
-    in a heap by decreasing bound (ties in the order queued); each k
-    starts with the run 1..L headed by lag 1.  The top run is split into
-    its first 2^(p-1) lags, which keep the head and its gaps at level
-    p - 1, and the rest, whose head is evaluated; the scan stops when
-    the top bound, times 1 + 1e-12, plus ``_GAP_SLACK`` per gap summed
-    into it (p + 1 of them), is at or below the sup found so far.  The
-    margin covers rounding: a rounded complex subtraction followed by
-    ``hypot`` is within a few ulps of the exact gap of the stored values
-    (within a few subnormal steps where it underflows), so a bound sums
-    p + 1 gaps that each carry that error plus p roundings of the sum,
-    and a pair left unevaluated computes at most the computed bound
-    grown by some dozens of ulps, far inside a part in 1e12.  No pair
-    left unevaluated can raise the sup, which is therefore the same to
-    the bit as a scan of every pair.  Lag 0 of each k >= 1 spans every
-    row, so it is evaluated apart, in no run.  W is filled only for the
-    rows some run bounds.
+    sup) and bounds its run by H + W_p.  Runs wait in a heap by
+    decreasing bound (ties in the order queued), starting with the run
+    1..L headed by lag 1.  The top run is split into its first 2^(p-1)
+    lags, which keep the head and its gap at level p - 1, and the rest,
+    whose head is evaluated; the scan stops when the top bound, times
+    1 + 1e-12, plus ``_GAP_SLACK`` per gap summed into it (p + 1 of
+    them), is at or below the sup found so far.  The margin covers
+    rounding: a rounded complex subtraction followed by ``hypot`` is
+    within a few ulps of the exact gap of the stored values (within a
+    few subnormal steps where it underflows), so a bound sums p + 1 gaps
+    that each carry that error plus p roundings of the sum, and a pair
+    left unevaluated computes at most the computed bound grown by some
+    dozens of ulps, far inside a part in 1e12.  No pair left unevaluated
+    can raise the sup, which is therefore the same to the bit as a scan
+    of every pair.  A smooth s needs about log2(L) passes over the
+    samples, where a scan of every lag needs L.
     """
-    n_r, n_t = F.shape
+    n = s.size
     cushion = delta * (1.0 + 1e-12) + 1e-15
-    sines: list[float] = []
-    plan = []  # (k, rows kept at lags 0, 1, ...)
-    for k in range(n_r):
-        dr = radii[k:] - radii[: n_r - k]
-        if k and dr[0] > cushion:
-            break
-        chord = 2.0 * np.sqrt(radii[: n_r - k] * radii[k:])
-        plan.append((k, _row_counts(dr, chord, sines, n_t, cushion)))
-
-    bounded = max((k + c[2] for k, c in plan if c.size > 2), default=0)
-    W = [np.zeros(bounded)]
-    for p in range(max(max(c.size - 2, 0).bit_length() for _, c in plan)):
-        W.append(W[-1] + _lag_gaps(F[:bounded], F[:bounded], 1 << p))
-
-    def gaps(k, rows, lag):
-        """Per-row maxima of the forward and (k, lag >= 1) the reverse pairs."""
-        a, b = F[:rows], F[k : k + rows]
-        fwd = _lag_gaps(a, b, lag)
-        return fwd, _lag_gaps(b, a, lag) if k and lag else fwd
+    # asin puts L within a lag or two; the test itself decides
+    lags = min(n // 2, int(n / math.pi * math.asin(min(1.0, cushion / 2.0))))
+    while lags < n // 2 and 2.0 * math.sin(math.pi * (lags + 1) / n) <= cushion:
+        lags += 1
+    while lags and 2.0 * math.sin(math.pi * lags / n) > cushion:
+        lags -= 1
+    if not lags:
+        return 0.0
+    W = [0.0]
+    for p in range((lags - 1).bit_length()):
+        W.append(W[-1] + _lag_gaps(s, s, 1 << p))
 
     best = 0.0
-    heap = []  # (-bound, order queued, level, k, counts, head, last lag, head gaps)
+    heap = []  # (-bound, order queued, level, head, last lag, head gap)
     order = itertools.count()
 
-    def queue(k, counts, head, last, top):
+    def queue(head, last, gap):
         p = (last - head).bit_length()
-        spread = np.minimum(W[p][: top.size], W[p][k : k + top.size])
-        bound = float((top + spread).max())
-        heapq.heappush(heap, (-bound, next(order), p, k, counts, head, last, top))
+        heapq.heappush(heap, (-(gap + W[p]), next(order), p, head, last, gap))
 
-    def visit(k, counts, head, last):
+    def visit(head, last):
         """Evaluate lag ``head`` and queue the run head..last behind it."""
         nonlocal best
-        fwd, rev = gaps(k, counts[head], head)
-        best = max(best, float(fwd.max()), float(rev.max()))
+        gap = _lag_gaps(s, s, head)
+        best = max(best, gap)
         if last > head:
-            inner = counts[head + 1]
-            queue(k, counts, head, last, np.maximum(fwd[:inner], rev[:inner]))
+            queue(head, last, gap)
 
-    for k, counts in plan:
-        if k:
-            best = max(best, float(gaps(k, counts[0], 0)[0].max()))
-        if counts.size > 1:
-            visit(k, counts, 1, counts.size - 1)
+    visit(1, lags)
     while heap:
-        bound, _, p, k, counts, head, last, top = heapq.heappop(heap)
+        bound, _, p, head, last, gap = heapq.heappop(heap)
         if -bound * (1.0 + 1e-12) + (p + 1) * _GAP_SLACK <= best:
             break
         mid = head + (1 << (p - 1))
         if mid - 1 > head:
-            queue(k, counts, head, mid - 1, top)
-        visit(k, counts, mid, last)
+            queue(head, mid - 1, gap)
+        visit(mid, last)
     return best
 
 
-def _row_counts(
-    dr: np.ndarray, chord: np.ndarray, sines: list[float], n_t: int, cushion: float
-) -> np.ndarray:
-    """How many leading rows keep each lag 0, 1, ... within delta.
-
-    The prefix is carried from lag to lag and the list ends before the
-    first lag that keeps no row.  Lags are tested in runs of doubling
-    length, each run on the rows its first lag keeps.  ``sines`` caches
-    sin(pi lag / n_t) and grows only as far as some run reaches.
-    """
-    runs = []
-    rows, lag, width, last = dr.size, 0, 1, n_t // 2
-    while rows and lag <= last:
-        stop = min(last + 1, lag + width)
-        sines.extend(math.sin(math.pi * m / n_t) for m in range(len(sines), stop))
-        far = np.hypot(dr[:rows, None], chord[:rows, None] * np.array(sines[lag:stop])) > cushion
-        run = np.minimum.accumulate(np.where(far.any(axis=0), far.argmax(axis=0), rows))
-        runs.append(run)
-        rows, lag, width = int(run[-1]), stop, 2 * width
-    counts = np.concatenate(runs)
-    return counts[: np.count_nonzero(counts)]
-
-
-def _lag_gaps(a: np.ndarray, b: np.ndarray, lag: int) -> np.ndarray:
-    """Per row, max_j |a[:, j] - b[:, (j + lag) mod n]|, on views rather than a rolled copy."""
-    n = a.shape[1]
-    gap = np.abs(a[:, : n - lag] - b[:, lag:]).max(axis=1)
+def _lag_gaps(a: np.ndarray, b: np.ndarray, lag: int) -> float:
+    """max_j |a[j] - b[(j + lag) mod n]|, on views rather than a rolled copy."""
+    n = a.size
+    gap = float(np.abs(a[: n - lag] - b[lag:]).max())
     if lag:
-        np.maximum(gap, np.abs(a[:, n - lag :] - b[:, :lag]).max(axis=1), out=gap)
+        gap = max(gap, float(np.abs(a[n - lag :] - b[:lag]).max()))
     return gap
 
 
@@ -620,23 +571,14 @@ def _checked_delta(delta) -> float:
 def boundary_modulus(phi: BoundaryFunction1D, delta: float) -> float:
     """sup |phi_i - phi_j| over sample pairs with chordal gap at most delta.
 
-    The pairs are those at lag 1..N/2 with chord 2 sin(pi lag / N) within
-    delta, lags 1..L.  They are bisected best first (``_polar_sup``): a
-    run of lags l0..l1 is bounded by its head gap max_j |phi_j -
-    phi_(j+l0)| plus W_p, the sum of the largest gaps at lags 1, 2, 4,
-    ..., 2^(p-1) with 2^p > l1 - l0, which by the triangle inequality
-    exceeds every gap at lags 1..2^p - 1.  The run with the largest bound
-    is split in two and the new head evaluated, until that bound, times
-    1 + 1e-12 plus a few subnormal steps per gap summed, is at or below
-    the sup found so far.  A rounded subtraction followed by ``hypot`` is
-    within a few ulps of the exact gap, so no pair left unevaluated
-    computes above that sup, and the value is the same to the bit as a
-    scan of every lag.  A smooth phi needs about log2(L) passes over the
-    samples, where a scan of every lag needs L.  ``delta`` must be
-    positive and finite.
+    The pairs are those at lag 1..N/2 whose chord 2 sin(pi lag / N) lies
+    within delta, and ``_circle_sup`` bisects their lags best first,
+    skipping each run of lags that a triangle-inequality bound shows
+    cannot raise the sup; the value is the same to the bit as a scan of
+    every pair.  ``delta`` must be positive and finite.
     """
     delta = _checked_delta(delta)
-    return _polar_sup(phi.samples[None, :], np.ones(1), delta)
+    return _circle_sup(phi.samples, delta)
 
 
 def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
@@ -653,13 +595,14 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
     is the least double with 1 - r <= delta (0 where delta >= 1).  For
     delta <= 1/2 the difference 1 - r is exact (Sterbenz), so the outer
     rows are at most delta apart, and exactly delta where 1 - delta is a
-    double; a rounded 1 - delta could put them up to half an ulp of 1
-    further apart, and the cushion of ``_polar_sup`` would count that pair.
-    Its values come from ``f.on_polar_grid``, and ``_polar_sup`` scans
-    every grid pair within delta, so the value is a sup over actual pairs,
-    a lower estimate of the modulus.  ``delta`` must be positive and
-    finite, and so must every grid value: a map whose folded FFT overflows
-    is refused, not scanned.
+    double.  Every pair of rows a <= b, each row with itself included, is
+    scanned at every angular lag l <= 128 whose distance hypot(r_b - r_a,
+    2 sqrt(r_a r_b) sin(pi l / 256)) lies within delta (1 + 1e-12) +
+    1e-15, the cushion of ``_circle_sup``, in one gather, and at lag -l
+    too when the rows differ.  So the value is a sup over actual grid
+    pairs, a lower estimate of the modulus.  ``delta`` must be positive
+    and finite, and so must every grid value: a map whose folded FFT
+    overflows is refused, not scanned.
     """
     delta = _checked_delta(delta)
     inner = max(0.0, 1.0 - delta)
@@ -670,7 +613,16 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
         values = f.on_polar_grid(radii, _CLOSED_ANGLES)
     if not np.isfinite(values).all():
         raise ValueError("grid values must be finite")
-    return _polar_sup(values, radii, delta)
+    cushion = delta * (1.0 + 1e-12) + 1e-15
+    best = 0.0
+    for a, b in itertools.combinations_with_replacement(range(3), 2):
+        dist = np.hypot(radii[b] - radii[a], 2.0 * np.sqrt(radii[a] * radii[b]) * _CLOSED_SINES)
+        lags = np.flatnonzero(dist <= cushion)
+        if a != b:
+            lags = np.concatenate((lags, -lags))
+        partner = values[b][(np.arange(_CLOSED_ANGLES) + lags[:, None]) % _CLOSED_ANGLES]
+        best = max(best, float(np.abs(values[a] - partner).max()))
+    return best
 
 
 def modulus_profile(

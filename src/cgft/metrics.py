@@ -772,13 +772,8 @@ def quasihyperbolic_numeric(D: DomainSpec, x, y, tol: float = 1e-3) -> MetricVal
     where the direct edge leaves D it prunes nothing, and a level-4 planar
     graph then has about 10^5 segments.  Simpson nodes reach the oracle
     ``_QH_ROWS`` segments at a time, so beyond the O(segments) graph the
-    temporaries stay O(_QH_ROWS).  Over a benchmark ``queries`` unit the
-    levels spent about
-    30 % of their time each on the weights and in the Python Dijkstra
-    loop, 13 % on the lattice oracle and the bound, 10 % each on the direct
-    edge (then weighed at every level) and the CSR arrays, and 8 % on the
-    gather.  The grid doubles until two successive values differ by less
-    than tol, up to level ``_QH_MAX_LEVEL``.
+    temporaries stay O(_QH_ROWS).  The grid doubles until two successive
+    values differ by less than tol, up to level ``_QH_MAX_LEVEL``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")

@@ -38,7 +38,6 @@ from cgft.harmonic_qr import (
     subharmonic_profile,
     _gauss_legendre,
     _polar_rule,
-    _polar_sup,
 )
 
 
@@ -454,7 +453,7 @@ class TestClosedModulus:
             rng = np.random.default_rng([int(kind[-1]), 26])
             f = _random_map(rng, degree=int(rng.integers(2, 60)))
         radii = np.linspace(0.0, 1.0, max(21, round(2.0 / delta) + 1))
-        full = _polar_sup(f.on_polar_grid(radii, 256), radii, delta)
+        full = _lag_by_lag_sup(f.on_polar_grid(radii, 256), radii, delta)
         assert closed_modulus(f, delta) >= full * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("delta", [0.03, 1e-4])
@@ -504,6 +503,31 @@ class TestClosedModulus:
             assert abs(closed_modulus(f, delta) - 1.5 * delta) <= 4 * ulp
 
 
+def _lag_by_lag_sup(F: np.ndarray, radii: np.ndarray, delta: float) -> float:
+    """sup |F[a] - F[b]| over polar-grid pairs within delta, every lag scanned.
+
+    Row i of F holds radius radii[i] at n_t equispaced angles, and the
+    points (i, j) and (i + k, j + lag) are hypot(r_(i+k) - r_i, 2 sqrt(r_i
+    r_(i+k)) sin(pi lag / n_t)) apart.  Each radius offset k and each lag
+    in -n_t/2..n_t/2 that keeps some row pair within delta is compared in
+    one array operation; nothing is skipped.
+    """
+    n_r, n_t = F.shape
+    cushion = delta * (1.0 + 1e-12) + 1e-15
+    sines = np.array([math.sin(math.pi * lag / n_t) for lag in range(n_t // 2 + 1)])
+    best = 0.0
+    for k in range(n_r):
+        dr = radii[k:] - radii[: n_r - k]
+        chord = 2.0 * np.sqrt(radii[: n_r - k] * radii[k:])
+        near = np.hypot(dr[:, None], chord[:, None] * sines[None, :]) <= cushion
+        for lag in range(-(n_t // 2), n_t // 2 + 1):
+            rows = near[:, abs(lag)]
+            if rows.any():
+                a, b = F[: n_r - k][rows], np.roll(F[k:][rows], -lag, axis=1)
+                best = max(best, float(np.abs(a - b).max()))
+    return best
+
+
 def _all_pairs_sup(z: np.ndarray, F: np.ndarray, delta: float) -> float:
     """sup |F(a) - F(b)| over every pair of points a, b within delta."""
     z, F = z.ravel(), F.ravel()
@@ -515,6 +539,36 @@ def _deltas(rng, z: np.ndarray) -> list[float]:
     """A log-uniform delta and one that is exactly a grid-pair distance."""
     gaps = np.abs(z.ravel()[:, None] - z.ravel()[None, :])
     return [float(10.0 ** rng.uniform(-2.5, 0.4)), float(rng.choice(gaps[gaps > 0]))]
+
+
+class _Recorded:
+    """A map whose grid values are recorded as ``closed_modulus`` asks for them."""
+
+    def __init__(self, f):
+        self.f, self.grids = f, []
+
+    def on_polar_grid(self, radii, n_t):
+        values = self.f.on_polar_grid(radii, n_t)
+        self.grids.append((np.asarray(radii), values))
+        return values
+
+
+def _closed_and_all_pairs(f, delta: float) -> tuple[float, float]:
+    """closed_modulus(f, delta) and the all-pairs sup over the annulus grid it scanned."""
+    recorded = _Recorded(f)
+    got = closed_modulus(recorded, delta)
+    (radii, F), = recorded.grids
+    z = radii[:, None] * _unit_roots(F.shape[1])[None, :]
+    return got, _all_pairs_sup_in_slabs(z, F, delta)
+
+
+def _annulus_deltas(rng) -> list[float]:
+    """A log-uniform delta, one of at least 1 (the inner row is then radius 0)
+    and one that is exactly a grid-pair distance: a chord of the unit row,
+    which every annulus grid holds."""
+    unit = _unit_roots(256)
+    chord = float(np.abs(unit[0] - unit[int(rng.integers(1, 129))]))
+    return [float(10.0 ** rng.uniform(-3.0, 0.0)), float(rng.uniform(1.0, 3.0)), chord]
 
 
 class TestOnPolarGrid:
@@ -593,13 +647,9 @@ class TestModuliMatchAllPairs:
     def test_closed_modulus(self, seed):
         rng = np.random.default_rng([seed, 11])
         f = _random_map(rng, degree=int(rng.integers(0, 6)))
-        n_r, n_t = int(rng.integers(2, 12)), int(rng.integers(8, 33))
-        angles = np.arange(n_t) * (2.0 * math.pi / n_t)
-        radii = np.linspace(0.0, 1.0, n_r)
-        z = radii[:, None] * np.exp(1j * angles)[None, :]
-        F = f.on_polar_grid(radii, n_t)
-        for delta in _deltas(rng, z):
-            assert _polar_sup(F, radii, delta) == _all_pairs_sup(z, F, delta)
+        for delta in _annulus_deltas(rng):
+            got, expected = _closed_and_all_pairs(f, delta)
+            assert got == expected
 
     @pytest.mark.parametrize("seed", range(100))
     def test_boundary_modulus(self, seed):
@@ -639,8 +689,8 @@ def _skip_test_maps(kind: str) -> HarmonicPlanarMap:
 
 
 class TestModuliMatchAllPairsWhereBlocksSkip:
-    """Grids large enough that the scan skips blocks of lags: both moduli
-    still equal the all-pairs sup, noise samples included."""
+    """Grids large enough that the boundary scan skips blocks of lags: both
+    moduli still equal the all-pairs sup, noise samples included."""
 
     @pytest.mark.parametrize("kind", ["shear", "random", "high-mode", "noise"])
     @pytest.mark.parametrize("n", [1024, 2048])
@@ -656,32 +706,40 @@ class TestModuliMatchAllPairsWhereBlocksSkip:
             assert boundary_modulus(phi, delta) == _all_pairs_sup_in_slabs(z, F, delta)
 
     @pytest.mark.parametrize("kind", ["shear", "random", "high-mode", "noise"])
-    @pytest.mark.parametrize("n_r", [6, 12])
-    def test_closed_modulus(self, n_r, kind):
-        rng = np.random.default_rng([n_r, 22])
+    @pytest.mark.parametrize("draws", [6, 12])
+    def test_closed_modulus(self, draws, kind):
+        # the annulus scan takes every lag within delta, on noise-like grid
+        # values as on smooth ones: ``draws`` log-uniform deltas from 1e-3
+        # to 3, then the exact grid-pair distances of the unit row
+        rng = np.random.default_rng([draws, 22])
         f = _skip_test_maps(kind)
-        n_t = 128
-        radii = np.linspace(0.0, 1.0, n_r)
-        z = radii[:, None] * np.exp(2j * math.pi * np.arange(n_t) / n_t)[None, :]
-        F = f.on_polar_grid(radii, n_t)
-        gaps = np.abs(z.ravel()[0] - z.ravel())
-        for delta in [0.05, 0.3, 1.0, float(rng.choice(gaps[gaps > 0]))]:
-            assert _polar_sup(F, radii, delta) == _all_pairs_sup_in_slabs(z, F, delta)
+        unit = _unit_roots(256)
+        chords = [float(np.abs(unit[0] - unit[lag])) for lag in (1, 5, 128)]
+        for delta in [*10.0 ** rng.uniform(-3.0, 0.5, draws), *chords]:
+            got, expected = _closed_and_all_pairs(f, float(delta))
+            assert got == expected
 
     @pytest.mark.parametrize("seed", range(40))
     def test_phase_shifted_rows(self, seed):
-        # one angular mode per row with its own phase: the reverse pairs of
-        # a radius offset peak at lags where the forward pairs are small, so
-        # a block bound must take both directions
+        # one angular mode per row with its own phase, from a stand-in that
+        # serves grid values in place of a map: the pairs from one row to
+        # another peak at lags where the pairs back are small, so the scan
+        # must take both directions.  Harmonic maps rarely show this on the
+        # three annulus rows, where a radial or same-row pair usually holds
+        # the sup.
         rng = np.random.default_rng([seed, 6])
-        n_r, n_t = int(rng.integers(3, 13)), int(rng.choice([64, 128]))
-        radii = np.linspace(0.0, 1.0, n_r)
-        theta = 2.0 * math.pi * np.arange(n_t) / n_t
-        z = radii[:, None] * np.exp(1j * theta)[None, :]
-        phase = int(rng.integers(1, 4)) * theta[None, :] + rng.uniform(0.0, 2.0 * math.pi, (n_r, 1))
-        F = rng.uniform(0.5, 1.0, (n_r, 1)) * np.exp(1j * phase)
+        mode = int(rng.integers(1, 4))
+        amplitude = rng.uniform(0.5, 1.0, (3, 1))
+        phase = rng.uniform(0.0, 2.0 * math.pi, (3, 1))
+
+        class Rows:
+            def on_polar_grid(self, radii, n_t):
+                theta = 2.0 * math.pi * np.arange(n_t) / n_t
+                return amplitude * np.exp(1j * (mode * theta[None, :] + phase))
+
         for delta in (0.2, 0.4, 0.7):
-            assert _polar_sup(F, radii, delta) == _all_pairs_sup_in_slabs(z, F, delta)
+            got, expected = _closed_and_all_pairs(Rows(), delta)
+            assert got == expected
 
     @pytest.mark.parametrize("kind", ["shear", "noise"])
     def test_boundary_where_the_bisection_goes_deep(self, kind, monkeypatch):
@@ -719,13 +777,6 @@ class TestModuliMatchAllPairsWhereBlocksSkip:
         # of W, plus the few head lags it evaluates
         boundary_modulus(boundary_samples_of(HarmonicPlanarMap.shear(0.5), 65536), 0.1)
         assert len(calls) <= 24
-        # closed grid from radius 0: k = 0 keeps all 64 lags, and each k
-        # with r_k <= delta its lag 0 plus 64 lags both ways
-        radii = np.linspace(0.0, 1.0, 12)
-        F = _skip_test_maps("random").on_polar_grid(radii, 128)
-        calls.clear()
-        _polar_sup(F, radii, 0.3)
-        assert len(calls) <= (64 + 3 * 129) // 2
 
 
 class TestModuliSeparation:

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -72,14 +73,24 @@ class TestDimension:
             check_dimension(bad)
 
 
-def agm_100_steps(a: float, b: float) -> float:
-    """agm as it was before the fixed-point stop: a settled pair runs on to 100 steps."""
+def agm_100_steps(a: float, b: float) -> tuple[float, bool]:
+    """agm as it was before the fixed-point stop, where a settled pair runs on
+    to 100 steps, and whether every product a * b it took was a normal double."""
     a, b = float(a), float(b)
+    normal = True
     for _ in range(100):
         if abs(a - b) <= 1e-16 * a:
             break
+        normal = normal and sys.float_info.min <= a * b < math.inf
         a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), normal
+
+
+def agm_ulps_from_mpmath(a: float, b: float) -> float:
+    """|agm(a, b) - AGM(a, b)| in ulps of the 50-digit value."""
+    with mpmath.workdps(50):
+        exact = mpmath.agm(mpmath.mpf(a), mpmath.mpf(b))
+        return float(abs(agm(a, b) - exact) / math.ulp(float(exact)))
 
 
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
@@ -100,9 +111,23 @@ class TestAgm:
     @example((1e300, 1e-300))
     @example((1.0, math.nextafter(1.0, 0.0)))
     def test_same_bits_as_the_100_step_loop(self, pair):
-        a, b = pair
-        assert agm(a, b) == agm_100_steps(a, b)
-        assert agm(b, a) == agm_100_steps(b, a)
+        # where a product of the old loop left the normal range its value
+        # could be far off (5.9e-231 for (1e-200, 5e-201), inf for (1e300,
+        # 1e-300)); those draws are held to the oracle instead
+        for a, b in (pair, pair[::-1]):
+            old, normal = agm_100_steps(a, b)
+            if normal:
+                assert agm(a, b) == old
+            else:
+                assert agm_ulps_from_mpmath(a, b) <= 4
+
+    @pytest.mark.parametrize(
+        "a, b", [(1e-200, 5e-201), (1e200, 5e199), (1e300, 1e-300), (1e308, 1.0), (1.5e308, 1e308)]
+    )
+    def test_products_beyond_the_double_range(self, a, b):
+        # the old loop gave 5.9e-231, inf, inf, inf and inf here
+        assert agm_ulps_from_mpmath(a, b) <= 4
+        assert agm_ulps_from_mpmath(b, a) <= 4
 
     def test_fixed_points(self):
         assert agm(1.0, 1.0) == 1.0
