@@ -392,6 +392,8 @@ def _cmd_harmonic_moduli(args, parser) -> None:
 
     f = _harmonic_map_from_args(args, parser)
     deltas = [float(tok) for tok in args.delta_list.split(",") if tok.strip()]
+    if not deltas:
+        parser.error("--delta-list needs at least one delta")
     rows = hq.modulus_profile(f, deltas, boundary_N=args.boundary_n)
     _write_csv(
         args.csv,
@@ -405,6 +407,8 @@ def _cmd_harmonic_profile(args, parser) -> None:
 
     f = _harmonic_map_from_args(args, parser)
     ps = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
+    if not ps:
+        parser.error("--p-list needs at least one exponent")
     rows = hq.subharmonic_profile(f, ps, grid_radius=args.grid_radius, grid_N=args.grid)
     _write_csv(
         args.csv,

@@ -118,16 +118,29 @@ class OrientationError(ValueError):
 
 
 def _coerce_coeffs(seq) -> tuple[complex, ...]:
+    """The coefficients as a tuple of finite complex numbers, (0j,) if none.
+
+    A flat sequence of numbers that numpy reads as a numeric array is
+    converted and checked in one array pass.  Anything else (strings,
+    ``None``, nested or ragged items, other objects) goes through
+    ``complex()`` item by item, so the accepted inputs and the errors are
+    those of ``complex()`` on each item.
+    """
     try:
-        items = tuple(complex(c) for c in seq)
+        items = tuple(seq)
+        try:
+            values = np.array(items)
+        except ValueError:  # ragged nesting, refused by complex() below
+            values = np.array(None)
+        if values.dtype.kind not in "biufc" or values.ndim != 1:
+            values = np.array([complex(c) for c in items], dtype=complex)
     except TypeError as exc:
         raise ValueError("coefficients must be a sequence of numbers") from exc
     if not items:
         return (0j,)
-    for c in items:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("coefficients must be finite")
-    return items
+    if not np.isfinite(values).all():
+        raise ValueError("coefficients must be finite")
+    return tuple(values.astype(complex).tolist())
 
 
 @dataclass(frozen=True)
@@ -229,6 +242,13 @@ def _fold(coeffs: tuple[complex, ...], radii: np.ndarray, n_t: int) -> np.ndarra
     return acc
 
 
+def _sample_count(n) -> int:
+    n = int(n)
+    if n < 8 or n & (n - 1):
+        raise ValueError("sample count must be a power of two, at least 8")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryFunction1D:
     """Complex boundary values sampled at N equispaced angles, N a power of two.
@@ -244,9 +264,7 @@ class BoundaryFunction1D:
         values = np.array(self.samples, dtype=complex)
         if values.ndim != 1:
             raise ValueError("samples must be a flat sequence")
-        n = values.size
-        if n < 8 or n & (n - 1):
-            raise ValueError("sample count must be a power of two, at least 8")
+        _sample_count(values.size)
         if not np.isfinite(values).all():
             raise ValueError("samples must be finite")
         values.flags.writeable = False
@@ -434,9 +452,11 @@ def boundary_samples_of(f: HarmonicPlanarMap, n: int) -> BoundaryFunction1D:
 
     They come from ``f.on_polar_grid([1.0], n)``: the coefficients folded
     by m mod n and one inverse FFT, exact for a polynomial at the roots of
-    unity whatever the degree.  Samples that overflow are refused by
-    ``BoundaryFunction1D``.
+    unity whatever the degree.  A count n that is not a power of two of
+    at least 8 is refused before anything is evaluated, and samples that
+    overflow are refused by ``BoundaryFunction1D``.
     """
+    n = _sample_count(n)
     with np.errstate(over="ignore", invalid="ignore"):
         values = f.on_polar_grid([1.0], n)[0]
     return BoundaryFunction1D(values)
@@ -469,7 +489,7 @@ def alternating_cosine_map(n_modes: int) -> HarmonicPlanarMap:
 _GAP_SLACK = 8 * math.ulp(0.0)
 
 
-def _circle_sup(s: np.ndarray, delta: float) -> float:
+def _circle_sup(s: np.ndarray, delta: float, gaps: dict[int, float]) -> float:
     """sup |s[i] - s[j]| over samples of the unit circle at most delta apart.
 
     Sample j sits at angle 2 pi j / n, so a pair at angular lag l is
@@ -509,6 +529,16 @@ def _circle_sup(s: np.ndarray, delta: float) -> float:
     can raise the sup, which is therefore the same to the bit as a scan
     of every pair.  A smooth s needs about log2(L) passes over the
     samples, where a scan of every lag needs L.
+
+    ``gaps`` maps a lag to its G, as ``_lag_gaps`` gives it; every lag
+    evaluated here is stored there, and a stored lag is never evaluated
+    again, so scans of the same samples at several deltas that share one
+    table pass over the samples once per distinct lag.  The sup found so
+    far starts at the largest stored G at lags 1..L, not at 0.  Those are
+    gaps of actual pairs within delta, so the sup found so far stays a
+    sup over pairs within delta, never above the one sought, and the
+    stop rule above still leaves out only pairs that cannot raise it:
+    the value is the same to the bit as with an empty table.
     """
     n = s.size
     cushion = delta * (1.0 + 1e-12) + 1e-15
@@ -520,11 +550,17 @@ def _circle_sup(s: np.ndarray, delta: float) -> float:
         lags -= 1
     if not lags:
         return 0.0
+
+    def gap_at(lag):
+        if lag not in gaps:
+            gaps[lag] = _lag_gaps(s, s, lag)
+        return gaps[lag]
+
     W = [0.0]
     for p in range((lags - 1).bit_length()):
-        W.append(W[-1] + _lag_gaps(s, s, 1 << p))
+        W.append(W[-1] + gap_at(1 << p))
 
-    best = 0.0
+    best = max((gap for lag, gap in gaps.items() if lag <= lags), default=0.0)
     heap = []  # (-bound, order queued, level, head, last lag, head gap)
     order = itertools.count()
 
@@ -535,7 +571,7 @@ def _circle_sup(s: np.ndarray, delta: float) -> float:
     def visit(head, last):
         """Evaluate lag ``head`` and queue the run head..last behind it."""
         nonlocal best
-        gap = _lag_gaps(s, s, head)
+        gap = gap_at(head)
         best = max(best, gap)
         if last > head:
             queue(head, last, gap)
@@ -578,7 +614,7 @@ def boundary_modulus(phi: BoundaryFunction1D, delta: float) -> float:
     every pair.  ``delta`` must be positive and finite.
     """
     delta = _checked_delta(delta)
-    return _circle_sup(phi.samples, delta)
+    return _circle_sup(phi.samples, delta, {})
 
 
 def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
@@ -602,27 +638,45 @@ def closed_modulus(f: HarmonicPlanarMap, delta: float) -> float:
     too when the rows differ.  So the value is a sup over actual grid
     pairs, a lower estimate of the modulus.  ``delta`` must be positive
     and finite, and so must every grid value: a map whose folded FFT
-    overflows is refused, not scanned.
+    overflows is refused, not scanned.  ``_closed_sups`` does the work,
+    for one delta here and for all of them in ``modulus_profile``.
     """
-    delta = _checked_delta(delta)
-    inner = max(0.0, 1.0 - delta)
-    if 1.0 - inner > delta:  # 1 - delta rounded down
-        inner = math.nextafter(inner, 1.0)
-    radii = np.linspace(inner, 1.0, 3)
+    return _closed_sups(f, [_checked_delta(delta)])[0]
+
+
+def _closed_sups(f: HarmonicPlanarMap, deltas: list[float]) -> list[float]:
+    """``closed_modulus`` at each delta, all rows from one polar grid.
+
+    The rows r_i and (r_i + 1)/2 of every delta and the unit row they
+    share are evaluated in one ``on_polar_grid`` call; each row's values
+    do not depend on the other rows asked for.  Each delta then scans its
+    own three rows.
+    """
+    inner = []
+    for delta in deltas:
+        r = max(0.0, 1.0 - delta)
+        if 1.0 - r > delta:  # 1 - delta rounded down
+            r = math.nextafter(r, 1.0)
+        inner.append(r)
+    # the rows of delta i are 2i, 2i + 1 and the last, the unit row
+    radii = np.append(np.linspace(inner, 1.0, 3, axis=1)[:, :2], 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         values = f.on_polar_grid(radii, _CLOSED_ANGLES)
     if not np.isfinite(values).all():
         raise ValueError("grid values must be finite")
-    cushion = delta * (1.0 + 1e-12) + 1e-15
-    best = 0.0
-    for a, b in itertools.combinations_with_replacement(range(3), 2):
-        dist = np.hypot(radii[b] - radii[a], 2.0 * np.sqrt(radii[a] * radii[b]) * _CLOSED_SINES)
-        lags = np.flatnonzero(dist <= cushion)
-        if a != b:
-            lags = np.concatenate((lags, -lags))
-        partner = values[b][(np.arange(_CLOSED_ANGLES) + lags[:, None]) % _CLOSED_ANGLES]
-        best = max(best, float(np.abs(values[a] - partner).max()))
-    return best
+    sups = []
+    for i, delta in enumerate(deltas):
+        cushion = delta * (1.0 + 1e-12) + 1e-15
+        best = 0.0
+        for a, b in itertools.combinations_with_replacement((2 * i, 2 * i + 1, -1), 2):
+            dist = np.hypot(radii[b] - radii[a], 2.0 * np.sqrt(radii[a] * radii[b]) * _CLOSED_SINES)
+            lags = np.flatnonzero(dist <= cushion)
+            if a != b:
+                lags = np.concatenate((lags, -lags))
+            partner = values[b][(np.arange(_CLOSED_ANGLES) + lags[:, None]) % _CLOSED_ANGLES]
+            best = max(best, float(np.abs(values[a] - partner).max()))
+        sups.append(best)
+    return sups
 
 
 def modulus_profile(
@@ -634,11 +688,24 @@ def modulus_profile(
     """Boundary and closed-disk moduli for each delta.
 
     The boundary modulus scans ``boundary_N`` samples of the unit circle,
-    the closed one the annulus rows of ``closed_modulus``.
+    the closed one the annulus rows of ``closed_modulus``; each value is
+    the same to the bit as a ``boundary_modulus`` or ``closed_modulus``
+    call at that delta.  One profile shares its work across the deltas:
+    the samples are taken once, the largest gap at each angular lag is
+    computed at most once and kept for every later delta's scan
+    (``_circle_sup``), and the closed rows of all the deltas, with the
+    unit row they have in common, come from one polar grid
+    (``_closed_sups``).  No deltas give no rows, and nothing is
+    evaluated.
     """
     deltas = [_checked_delta(d) for d in deltas]
-    phi = boundary_samples_of(f, boundary_N)
-    return [ModulusRow(d, boundary_modulus(phi, d), closed_modulus(f, d)) for d in deltas]
+    _sample_count(boundary_N)
+    if not deltas:
+        return []
+    samples = boundary_samples_of(f, boundary_N).samples
+    gaps: dict[int, float] = {}
+    closed = _closed_sups(f, deltas)
+    return [ModulusRow(d, _circle_sup(samples, d, gaps), c) for d, c in zip(deltas, closed)]
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,29 @@ class TestHarmonicCommand:
         assert (code, out) == (2, "")
         assert err == "error: delta must be positive and finite\n"
 
+    @pytest.mark.parametrize("n", ["0", "-8", "6", "100"])
+    def test_moduli_refuses_a_bad_sample_count(self, capsys, n):
+        # 0 and -8 named n_t, a parameter of the polar grid; 6 and 100 ran
+        # the fold and the FFT before the samples were refused
+        code, out, err = run_cli(
+            capsys, "harmonic", "moduli", "--k", "0.5", "--delta-list", "0.1", "--boundary-n", n
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sample count must be a power of two, at least 8\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("moduli", "--delta-list", ",,", "--boundary-n", "64"), "--delta-list"),
+            (("profile", "--p-list", ",,"), "--p-list"),
+        ],
+    )
+    def test_empty_list_is_usage_error(self, capsys, argv, flag):
+        # each printed a bare CSV header and exited 0
+        code, out, err = run_cli(capsys, "harmonic", argv[0], "--k", "0.5", *argv[1:])
+        assert (code, out) == (2, "")
+        assert f"error: {flag} needs at least one" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

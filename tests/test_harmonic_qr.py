@@ -47,6 +47,28 @@ def _random_map(rng, degree=4, scale=0.5):
     return HarmonicPlanarMap(tuple(g), tuple(h))
 
 
+def _coerce_by_loop(seq) -> tuple[complex, ...]:
+    """Reference coercion: complex() on each item, then a finiteness check."""
+    try:
+        items = tuple(complex(c) for c in seq)
+    except TypeError as exc:
+        raise ValueError("coefficients must be a sequence of numbers") from exc
+    if not items:
+        return (0j,)
+    for c in items:
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError("coefficients must be finite")
+    return items
+
+
+def _outcome(call):
+    """The result of call() as item types and reprs, or its exception type and message."""
+    try:
+        return [(type(c), repr(c)) for c in call()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def _unit_roots(n: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(n) / n)
 
@@ -80,6 +102,47 @@ class TestHarmonicPlanarMap:
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValueError):
             HarmonicPlanarMap((math.inf,), (0,))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (np.float32(1.5), np.complex64(1 + 2j), np.int64(3), np.bool_(True), np.float16(0.1)),
+            (np.longdouble(1) / 3, np.uint64(2**64 - 1), np.complex128(1e308 - 1e308j)),
+            [0.1, -0.0, complex(-0.0, -0.0), 2**53 + 1, 2**70, True, Fraction(1, 3)],
+            np.arange(5.0),
+            range(4),
+            None,
+            3.0,
+            [None],
+            [1, None],
+            [[1, 2]],
+            [1, [1, 2]],
+            [np.array([1.0])],
+            [b"1"],
+            ["1+"],
+            "abc",
+            ["1+2j", " 3 "],
+            "12",
+            [10**400],
+            [1, math.nan],
+            [complex(1, math.inf)],
+            ["nan"],
+            [],
+            np.zeros(0),
+        ],
+        ids=lambda c: type(c).__name__,
+    )
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_coercion_matches_complex_item_by_item(self, coeffs, as_generator):
+        # the array pass accepts and refuses what complex() on each item
+        # does, with the same values (signed zeros included) and messages
+        def fresh():
+            if as_generator and coeffs is not None and not isinstance(coeffs, float):
+                return (c for c in coeffs)
+            return coeffs
+
+        expected = _outcome(lambda: _coerce_by_loop(fresh()))
+        assert _outcome(lambda: HarmonicPlanarMap(fresh(), ()).g_coeffs) == expected
 
     def test_vectorized_evaluation(self):
         f = HarmonicPlanarMap((0, 1, 0.25j), (0.5, 0.125))
@@ -358,6 +421,19 @@ class TestPoissonDiskExtend:
         f = HarmonicPlanarMap((0, 1e308, 1e308), ())
         with pytest.raises(ValueError, match="samples must be finite"):
             boundary_samples_of(f, 64)
+
+    @pytest.mark.parametrize("n", [0, -8, 4, 6, 100])
+    def test_sample_count_refused_before_evaluating(self, n, monkeypatch):
+        # 0 and -8 were refused by the polar grid as "n_t must be at least
+        # 1"; 6 and 100 ran the fold and the FFT first
+        def no_grid(f, radii, n_t):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(HarmonicPlanarMap, "on_polar_grid", no_grid)
+        f = HarmonicPlanarMap.shear(0.5)
+        for call in (lambda: boundary_samples_of(f, n), lambda: modulus_profile(f, [0.1], boundary_N=n)):
+            with pytest.raises(ValueError, match="^sample count must be a power of two, at least 8$"):
+                call()
 
 
 class TestBoundaryModulus:
@@ -777,6 +853,78 @@ class TestModuliMatchAllPairsWhereBlocksSkip:
         # of W, plus the few head lags it evaluates
         boundary_modulus(boundary_samples_of(HarmonicPlanarMap.shear(0.5), 65536), 0.1)
         assert len(calls) <= 24
+
+
+class TestModulusProfileSharesWork:
+    """A profile shares lag gaps and one annulus grid across its deltas and
+    gives each delta the value of its own boundary_modulus and
+    closed_modulus calls, to the bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_per_delta_calls(self, seed):
+        rng = np.random.default_rng([seed, 32])
+        kind = ("random", "series", "shear", "noise")[seed % 4]
+        if kind == "random":
+            f = _random_map(rng, degree=int(rng.integers(0, 8)))
+        elif kind == "series":
+            f = alternating_cosine_map(int(rng.integers(1, 2100)))
+        elif kind == "shear":
+            turn = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            f = HarmonicPlanarMap((0.0, turn), (0.0, rng.uniform(0.0, 0.9) * turn.conjugate()))
+        else:  # degree far above the sample count: noise-like samples
+            f = _random_map(rng, degree=int(rng.integers(1000, 3001)))
+        n = 2 ** int(rng.integers(3, 14))
+        chord = 2.0 * math.sin(math.pi / n)
+        deltas = [
+            *10.0 ** rng.uniform(-4.0, 0.3, 3),  # unsorted
+            float(rng.uniform(1.0, 3.0)),  # inner row 0
+            float(np.abs(1.0 - _unit_roots(n)[int(rng.integers(1, n // 2 + 1))])),  # exact chord
+            2.0 * math.sin(math.pi * int(rng.integers(1, n // 2 + 1)) / n),
+            float(rng.uniform(0.0, chord)),  # below the smallest chord
+            1e-10,
+        ]
+        deltas.append(deltas[int(rng.integers(0, len(deltas)))])  # repeated
+        rows = modulus_profile(f, deltas, boundary_N=n)
+        phi = boundary_samples_of(f, n)
+        assert [r.delta for r in rows] == deltas
+        assert [r.boundary for r in rows] == [boundary_modulus(phi, d) for d in deltas]
+        assert [r.closed for r in rows] == [closed_modulus(f, d) for d in deltas]
+
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_noise_samples_through_one_table(self, n):
+        import cgft.harmonic_qr as hq
+
+        rng = np.random.default_rng([n, 32])
+        phi = BoundaryFunction1D(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        deltas = [*10.0 ** rng.uniform(-3.0, 0.3, 6), 2.0 * math.sin(math.pi * 3 / n), 2.0, 0.05]
+        gaps = {}
+        for delta in deltas:
+            assert hq._circle_sup(phi.samples, delta, gaps) == boundary_modulus(phi, delta)
+
+    @pytest.mark.parametrize("theta", [0.0, 2.1])
+    def test_counts_on_the_shear_profile(self, theta, monkeypatch):
+        # the moduli benchmark's shear profile: 35 passes over the samples
+        # when each delta scanned alone, 21 distinct lags; and one grid per
+        # delta plus the samples' own, 1 + 3 calls
+        import cgft.harmonic_qr as hq
+
+        lags, grids = [], []
+        kernel, grid = hq._lag_gaps, HarmonicPlanarMap.on_polar_grid
+        monkeypatch.setattr(hq, "_lag_gaps", lambda a, b, lag: lags.append(lag) or kernel(a, b, lag))
+        monkeypatch.setattr(
+            HarmonicPlanarMap, "on_polar_grid", lambda f, radii, n_t: grids.append(len(radii)) or grid(f, radii, n_t)
+        )
+        turn = cmath.exp(1j * theta)
+        f = HarmonicPlanarMap((0.0, turn), (0.0, 0.5 * turn.conjugate()))
+        modulus_profile(f, [0.1, 0.01, 0.001], boundary_N=65536)
+        assert len(lags) <= 21 and len(set(lags)) == len(lags)
+        assert grids == [1, 7]
+        grids.clear()
+        closed_modulus(f, 0.01)
+        assert grids == [3]
+        grids.clear()
+        assert modulus_profile(f, [], boundary_N=65536) == []
+        assert grids == []
 
 
 class TestModuliSeparation:
