@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ._roots import bisect_monotone
 from .special_functions import (
     Interval,
     _falling_hi,
@@ -283,12 +282,16 @@ def antipodal_quartic(r: float) -> float:
 
 
 def antipodal_threshold() -> float:
-    """Unique root of the comparison quartic in (0, 1), to 1e-12.
+    """Unique root of the comparison quartic in (0, 1).
 
+    The quartic is palindromic: with u = r + 1/r it becomes
+    u^2 - 8u - 4 = 0, so u = 4 + 2 sqrt 5 and the root is
+    1/(2 + sqrt 5 + 2 sqrt(2 + sqrt 5)), a form that does not cancel.
     The root is slightly below 0.12; the often-quoted 0.12 is a rounded
     sufficient bound, not the exact threshold.
     """
-    return bisect_monotone(antipodal_quartic, 0.0, 0.0, 0.12, xtol=1e-12)
+    s5 = math.sqrt(5.0)
+    return 1.0 / (2.0 + s5 + 2.0 * math.sqrt(2.0 + s5))
 
 
 def puncture_irrelevance_radius(delta: float) -> float:
@@ -306,5 +309,12 @@ def puncture_irrelevance_radius(delta: float) -> float:
 
 
 def antipodal_irrelevance_radius() -> float:
-    """Real root of x^3 + x^2 - 1 in (0, 1), to 1e-12; it exceeds 0.75."""
-    return bisect_monotone(lambda x: x * x * x + x * x - 1.0, 0.0, 0.0, 1.0, xtol=1e-12)
+    """Real root of x^3 + x^2 - 1 in (0, 1); it exceeds 0.75.
+
+    With x = 1/y the cubic becomes y^3 = y + 1, whose real root is the
+    plastic number ((9 + sqrt 69)/18)^(1/3) + ((9 - sqrt 69)/18)^(1/3)
+    (Cardano).
+    """
+    s69 = math.sqrt(69.0)
+    third = 1.0 / 3.0
+    return 1.0 / (((9.0 + s69) / 18.0) ** third + ((9.0 - s69) / 18.0) ** third)

@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._roots import bisect_monotone
 from .special_functions import (
     Interval,
     check_dimension,
@@ -684,36 +683,34 @@ def tangent_domination_M(m: float, n: float) -> float:
     return math.sqrt(c / n + t * t) - t
 
 
-def _tangent_lhs_inverse(m: float, n: float, y: float) -> float:
-    """Inverse of the increasing lhs on [1, oo)."""
-    if y <= 0.0:
-        return 1.0
-    hi = 2.0
-    while tangent_domination_lhs(m, n, hi) < y:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ArithmeticError("tangent lhs inverse bracket blew up")
-    return bisect_monotone(
-        lambda v: tangent_domination_lhs(m, n, v), y, 1.0, hi, xtol=1e-13
-    )
-
-
 def tangent_domination_endpoint(m: float, n: float) -> float:
     """Sharp right endpoint of the domination interval.
 
-    The increasing, bounded iteration a_{k+1} = lhs^{-1}(rhs(a_k)) from
-    a_0 = tangent_domination_M(m, n) converges to the point where the two
-    sides meet again; iteration stops once a step falls below 1e-10.  The
-    limit stays below 2^(2m/n) e^2.  For (m, n) = (3, 2) it exceeds 17.
+    The point past tangent_domination_M(m, n) where the two sides meet
+    again, found by bisecting lhs <= rhs on [M, 2^(2m/n) e^2] until the
+    ends are adjacent doubles; returns the larger double at which
+    lhs <= rhs still holds.  Raises ArithmeticError if the bracket does
+    not hold.  For (m, n) = (3, 2) it exceeds 17.
     """
     _check_tangent_params(m, n)
-    a = tangent_domination_M(m, n)
-    for _ in range(200000):
-        nxt = _tangent_lhs_inverse(m, n, tangent_domination_rhs(m, n, a))
-        if abs(nxt - a) < 1e-10:
-            return nxt
-        a = nxt
-    raise ArithmeticError("tangent domination endpoint iteration did not settle")
+
+    def dominated(x: float) -> bool:
+        return tangent_domination_lhs(m, n, x) <= tangent_domination_rhs(m, n, x)
+
+    lo = tangent_domination_M(m, n)
+    hi = 2.0 ** (2.0 * m / n) * math.e**2
+    if not (dominated(lo) and not dominated(hi)):
+        raise ArithmeticError(
+            f"tangent domination endpoint not bracketed by [{lo}, {hi}]"
+        )
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if dominated(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .special_functions import (
     Interval,
     check_dimension,
     gamma_n_bounds,
-    omega_sphere,
     tau_n_bounds,
 )
 
@@ -837,9 +836,9 @@ def mu_bounds(
 ) -> Interval:
     """Interval for the conformal capacity between {x, y} and the boundary.
 
-    Uppers: the concentric-ball comparison when |x-y| < d(x) (both the exact
-    ball value and the log form), and the planar majorant at 3k when the
-    boundary is connected and nondegenerate (k supplied or computed).
+    Uppers: the concentric-ball comparison gamma_n(d(x)/|x-y|) when
+    |x-y| < d(x), and the planar majorant at 3k when the boundary is
+    connected and nondegenerate (k supplied or computed).
     Lower: c_n times the distance-ratio metric when the boundary is
     connected; c_n has no published numeric value, so it must be supplied.
     """
@@ -853,9 +852,7 @@ def mu_bounds(
     uppers: list[float] = []
     lowers: list[float] = [0.0]
     if gap < dx:
-        ratio = dx / gap
-        uppers.append(gamma_n_bounds(n, ratio).hi)
-        uppers.append(omega_sphere(n) * math.log(ratio) ** (1 - n))
+        uppers.append(gamma_n_bounds(n, dx / gap).hi)
     if D.boundary_connected and D.boundary_nondegenerate and n == 2:
         if k_value is None:
             k_value = quasihyperbolic_numeric(D, px, py, tol=1e-2).value

@@ -836,6 +836,14 @@ class TestMuBounds:
         assert iv.lo == 0.15 * 1e-300
         assert iv.hi <= gamma2(1e300) * (1.0 + 1e-12)
 
+    def test_upper_end_past_float_range_is_inf(self):
+        # log(d(x)/|x-y|) is about 2.2e-16, so the ring capacity's upper
+        # envelope passes the double range and the upper end is inf
+        n = 21
+        D = canonical_domain("ball", n)
+        iv = mu_bounds(D, (0.0,) * n, (0.9999999999999999,) + (0.0,) * (n - 1))
+        assert (iv.lo, iv.hi) == (0.0, math.inf)
+
     def test_no_applicable_bound(self, punctured_plane):
         # far pair in a domain with disconnected boundary: nothing applies
         with pytest.raises(NoApplicableBoundError):
