@@ -406,12 +406,11 @@ def subharmonic_profile(
     *,
     grid_radius: float = 0.95,
     grid_N: int = 96,
-    tol: float = 1e-9,
 ) -> list[SubharmonicRow]:
     """check_subharmonic swept over a list of exponents."""
     rows = []
     for p in p_values:
-        scan = check_subharmonic(f, float(p), grid_radius, grid_N, tol)
+        scan = check_subharmonic(f, float(p), grid_radius, grid_N)
         rows.append(SubharmonicRow(float(p), scan.min_value, scan.argmin))
     return rows
 
@@ -759,13 +758,13 @@ def _polar_rule(r: float, quad_N: int) -> tuple[np.ndarray, np.ndarray]:
     return (half * x + mid).ravel(), (half * w).ravel()
 
 
-def poisson_ball3(phi: SphereBoundaryFunction, x, quad_N: int = 64) -> np.ndarray:
+def poisson_ball3(phi: SphereBoundaryFunction, x) -> np.ndarray:
     """Poisson integral of phi over the unit sphere at x in the open 3-ball.
 
     Uses the kernel (1 - |x|^2)/|x - xi|^3 against the normalized surface
     measure, on a product rule: Gauss-Legendre in the cosine u of the angle
     from the x direction (graded toward the kernel peak, ``_polar_rule``)
-    and quad_N equispaced azimuths.  All nodes, one ring of azimuths per u,
+    and 64 equispaced azimuths.  All nodes, one ring of azimuths per u,
     go to ``phi.oracle`` in one (nodes, 3) array, which must come back with
     the same shape; each ring is summed and the rings are weighted by the
     rule times the kernel in one contraction.  The computed kernel mass must
@@ -776,14 +775,12 @@ def poisson_ball3(phi: SphereBoundaryFunction, x, quad_N: int = 64) -> np.ndarra
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("x must be a point of R^3")
-    if quad_N < 8:
-        raise ValueError("quad_N must be at least 8")
     r = float(np.linalg.norm(x))
     if r >= 1.0:
         raise ValueError("x must lie in the open unit ball")
     axis = x / r if r > 0.0 else np.array([0.0, 0.0, 1.0])
     t1, t2 = _orthonormal_frame(axis)
-    n_az = int(quad_N)
+    n_az = 64
     u, w_u = _polar_rule(r, n_az)
     sin_polar = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
     # |x - xi|^2 = 1 + r^2 - 2 r u, written so that it does not cancel to 0
@@ -944,18 +941,12 @@ def qh_bilipschitz_estimate(
 # averaged Jacobian invariant on the disk
 
 
-def alpha_f_disk(
-    f: HarmonicPlanarMap,
-    z,
-    *,
-    radial_N: int = 32,
-    angular_N: int = 64,
-) -> float:
+def alpha_f_disk(f: HarmonicPlanarMap, z) -> float:
     """exp of half the area mean of log J_f over the disk touching the boundary.
 
-    The mean is taken over B(z, 1-|z|) by Gauss-Legendre in the squared
-    radius and equispaced angles; the radial rule of each size is built
-    once and cached (``_gauss_legendre``).  Since log(1/J_f) is
+    The mean is taken over B(z, 1-|z|) by the cached 32-node Gauss-Legendre
+    rule (``_gauss_legendre``) in the squared radius and 64 equispaced
+    angles.  Since log(1/J_f) is
     subharmonic for an orientation-preserving harmonic map, sqrt(J_f(z))
     dominates the result.
     """
@@ -963,12 +954,10 @@ def alpha_f_disk(
     d = 1.0 - abs(z)
     if d <= 0.0:
         raise ValueError("z must lie in the open unit disk")
-    if radial_N < 2 or angular_N < 4:
-        raise ValueError("quadrature sizes are too small")
-    xg, wg = _gauss_legendre(int(radial_N))
+    xg, wg = _gauss_legendre(32)
     t = 0.5 * (xg + 1.0)
     wt = 0.5 * wg
-    angles = np.arange(int(angular_N)) * (_TWO_PI / int(angular_N))
+    angles = np.arange(64) * (_TWO_PI / 64)
     ZZ = z + d * np.sqrt(t)[:, None] * np.exp(1j * angles)[None, :]
     J = f.jacobian(ZZ)
     if np.any(J <= 0.0):
@@ -977,20 +966,15 @@ def alpha_f_disk(
     return math.exp(0.5 * mean)
 
 
-def quasiregularity_constant(
-    f: HarmonicPlanarMap,
-    grid_radius: float = 0.99,
-    grid_N: int = 64,
-) -> float:
-    """Grid estimate of sup |h'| / |g'| over the disk of radius grid_radius.
+def quasiregularity_constant(f: HarmonicPlanarMap) -> float:
+    """Grid estimate of sup |h'| / |g'| over the disk of radius 0.99.
 
-    Returns inf if the analytic derivative vanishes somewhere the
-    anti-analytic one does not.
+    The grid takes 64 equispaced radii from 0 and 64 angles.  Returns inf
+    if the analytic derivative vanishes somewhere the anti-analytic one
+    does not.
     """
-    if not 0.0 < grid_radius < 1.0:
-        raise ValueError("grid_radius must lie in (0, 1)")
-    radii = np.linspace(0.0, grid_radius, int(grid_N))
-    angles = np.arange(int(grid_N)) * (_TWO_PI / int(grid_N))
+    radii = np.linspace(0.0, 0.99, 64)
+    angles = np.arange(64) * (_TWO_PI / 64)
     Z = radii[:, None] * np.exp(1j * angles)[None, :]
     gp = np.abs(f.g_prime(Z))
     hp = np.abs(f.h_prime(Z))

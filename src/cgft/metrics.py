@@ -22,6 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import transfer_chart as tc
 from .special_functions import (
     Interval,
     check_dimension,
@@ -144,11 +145,9 @@ class DomainSpec:
         check_dimension(self.dimension)
         if not self.boundary_samples:
             raise ValueError("boundary_samples must be nonempty")
-        if self.uniform_constant is not None and self.uniform_constant < 1:
-            raise ValueError("uniform_constant must be >= 1")
-        if self.qed_constant is not None and not 0 < self.qed_constant <= 1:
-            raise ValueError("qed_constant must lie in (0, 1]")
-        if self.diam <= 0:
+        # refuse a constant no domain can have, by the rules DomainProps applies
+        tc.DomainProps(uniform_constant=self.uniform_constant, qed_constant=self.qed_constant)
+        if not self.diam > 0:
             raise ValueError("diam must be positive")
 
     def boundary_distance(self, x: "ExtendedPoint | Sequence[float]") -> float:
@@ -817,15 +816,6 @@ def mu_ball_center(n: int, x) -> Interval:
     return gamma_n_bounds(n, 1.0 / r)
 
 
-def _h2_planar(t: float) -> float:
-    # explicit planar majorant: 2 pi a / log(1/(2t)) up to t = 1/4, then
-    # 36 pi t^2; continuous at the break (both give 2.25 pi)
-    alpha = 9.0 / 8.0 * math.log(2.0)
-    if t <= 0.25:
-        return 2.0 * math.pi * alpha / math.log(1.0 / (2.0 * t))
-    return 36.0 * math.pi * t * t
-
-
 def mu_bounds(
     D: DomainSpec,
     x,
@@ -836,27 +826,33 @@ def mu_bounds(
 ) -> Interval:
     """Interval for the conformal capacity between {x, y} and the boundary.
 
-    Uppers: the concentric-ball comparison gamma_n(d(x)/|x-y|) when
-    |x-y| < d(x), and the planar majorant at 3k when the boundary is
-    connected and nondegenerate (k supplied or computed).
-    Lower: c_n times the distance-ratio metric when the boundary is
-    connected; c_n has no published numeric value, so it must be supplied.
+    Symmetric in x and y.  Uppers: the concentric-ball comparison
+    gamma_n(d/|x-y|) with d = max(d(x), d(y)) when |x-y| < d, since both
+    B(x, d(x)) and B(y, d(y)) lie in D; and, in the plane with a connected
+    nondegenerate boundary, the transfer chart's best k -> mu bound at k
+    (supplied or computed).  Lower: c_n times the distance-ratio metric
+    when the boundary is connected; c_n has no published numeric value, so
+    it must be supplied.
     """
     px, py = as_point(x), as_point(y)
     if px == py:
         return Interval(0.0, 0.0)
     n = D.dimension
-    dx = D.boundary_distance(px)
-    D.boundary_distance(py)
+    d = max(D.boundary_distance(px), D.boundary_distance(py))
     gap = math.dist(px.array(), py.array())
     uppers: list[float] = []
     lowers: list[float] = [0.0]
-    if gap < dx:
-        uppers.append(gamma_n_bounds(n, dx / gap).hi)
+    if gap < d:
+        uppers.append(gamma_n_bounds(n, d / gap).hi)
     if D.boundary_connected and D.boundary_nondegenerate and n == 2:
         if k_value is None:
             k_value = quasihyperbolic_numeric(D, px, py, tol=1e-2).value
-        uppers.append(_h2_planar(3.0 * k_value))
+        elif not k_value > 0.0:
+            # the chart maps k = 0 to mu = 0, below the capacity of any distinct pair
+            raise ValueError("k_value of distinct points must be positive")
+        props = tc.DomainProps(boundary_connected=True, boundary_nondegenerate=True)
+        chart = tc.builtin_chart(2)
+        uppers.append(tc.query(chart, tc.MetricId.K, tc.MetricId.MU, props, k_value).value)
     if D.boundary_connected and c_n is not None:
         lowers.append(c_n * j_metric(D, px, py))
     if not uppers and max(lowers) == 0.0:
@@ -882,8 +878,9 @@ def lambda_bounds(
 ) -> Interval:
     """Interval for the point-pair extremal-distance invariant.
 
-    Upper: sqrt(2) tau_n(|x-y| / min(d(x), d(y))).  Lowers: the QED bound
-    c tau_n(s^2 + 2 s) when the QED constant is set, and the concentric-ball
+    Upper: sqrt(2) tau_n(s) with s = |x-y| / min(d(x), d(y)).  Lowers: the
+    reciprocal of the transfer chart's j -> 1/lambda bound at
+    j = log(1 + s) when the QED constant is set, and the concentric-ball
     bound c_n log(d/|x-y|) when c_n is supplied and the points are close.
     Missing pieces fall back to [0, oo).
     """
@@ -898,7 +895,10 @@ def lambda_bounds(
     hi = math.sqrt(2.0) * tau_n_bounds(n, s).hi
     lowers = [0.0]
     if D.qed_constant is not None:
-        lowers.append(D.qed_constant * tau_n_bounds(n, s * s + 2.0 * s).lo)
+        props = tc.DomainProps(qed_constant=D.qed_constant)
+        chart = tc.builtin_chart(n)
+        li = tc.query(chart, tc.MetricId.J, tc.MetricId.LAMBDA_INV, props, math.log1p(s))
+        lowers.append(1.0 / li.value)
     if c_n is not None:
         for dd in (dx, dy):
             if gap < dd:

@@ -802,14 +802,14 @@ def _chk_mn_inequality(cfg, t):
 @_register(
     "iterate-domination-endpoint",
     "iterate-domination-endpoint",
-    "m=3, n=2 fixed point",
+    "m=3, n=2 bisection root",
 )
 def _chk_mn_endpoint(cfg, t):
     a = ds.tangent_domination_endpoint(3, 2)
     t.add(a - 17.0, "endpoint beyond 17")
     t.add(2.0**3 * math.e**2 - a, "endpoint below closed-form cap")
     res = abs(ds.tangent_domination_lhs(3, 2, a) - ds.tangent_domination_rhs(3, 2, a))
-    t.add(1e-8 - res, "fixed-point residual")
+    t.add(1e-12 - res, "residual at root")
 
 
 @_register(
@@ -1201,27 +1201,31 @@ def run_verify(
 # ---------------------------------------------------------------------------
 
 
+#: Points in each of the two t grids of the report's grid rows.
+_REPORT_GRID_POINTS = 2001
+
+
 def _at_K(slack):
     """A row evaluated at the single point K."""
-    return lambda K, n, grid_points: ([K], [slack(K, n)])
+    return lambda K, n: ([K], [slack(K, n)])
 
 
-def _power_envelope_crossing(K, n, grid_points):
+def _power_envelope_crossing(K, n):
     alpha, beta, log_c3 = ds._growth_constants(n, K)
     c3 = math.exp(log_c3)
-    ts_low = np.linspace(1e-6, 1.0, grid_points)
-    ts_high = np.linspace(1.0, 10.0, grid_points)
+    ts_low = np.linspace(1e-6, 1.0, _REPORT_GRID_POINTS)
+    ts_high = np.linspace(1.0, 10.0, _REPORT_GRID_POINTS)
     slack_low = c3 * ts_low**alpha - 2.0 * ts_low + ts_low**beta / c3
     slack_high = c3 * ts_high**beta - 2.0 * ts_high + ts_high**alpha / c3
     return np.concatenate([ts_low, ts_high]), np.concatenate([slack_low, slack_high])
 
 
-def _log_power_transfer(K, n, grid_points):
+def _log_power_transfer(K, n):
     # log(1 + c3 t^p) in log space, since c3 overflows from K ~ 141; a right
     # side past float range is inf, and so is its slack
     alpha, beta, log_c3 = ds._growth_constants(n, K)
-    ts_low = np.linspace(1e-6, 1.0, grid_points)
-    ts_high = np.linspace(1.0, 50.0, grid_points)
+    ts_low = np.linspace(1e-6, 1.0, _REPORT_GRID_POINTS)
+    ts_high = np.linspace(1.0, 50.0, _REPORT_GRID_POINTS)
     powers = np.concatenate([alpha * np.log(ts_low), beta * np.log(ts_high)])
     lhs = np.logaddexp(0.0, log_c3 + powers)
     with np.errstate(over="ignore"):
@@ -1230,13 +1234,13 @@ def _log_power_transfer(K, n, grid_points):
     return np.concatenate([ts_low, ts_high]), rhs - lhs
 
 
-def _branch_agreement(K, n, grid_points):
+def _branch_agreement(K, n):
     alpha = ds._growth_constants(n, K)[0]
     return [1.0], [0.0 if 1.0**alpha == 1.0 else -abs(1.0**alpha - 1.0)]
 
 
 #: check id, statement, window, K-window predicate and
-#: (K, n, grid_points) -> (points, slacks)
+#: (K, n) -> (points, slacks)
 _REPORT_ROWS = (
     (
         "planar-linear-rate",
@@ -1289,9 +1293,7 @@ _REPORT_ROWS = (
 )
 
 
-def distortion_inequality_report(
-    K: float, n: int = 2, *, grid_points: int = 2001
-) -> dict:
+def distortion_inequality_report(K: float, n: int = 2) -> dict:
     """Slack report for the scalar inequalities behind the linear rates,
     the power envelope and the distance-ratio transfer, at a given K.
 
@@ -1307,7 +1309,7 @@ def distortion_inequality_report(
         entry = {"check_id": check_id, "description": description, "window": window}
         entry.update(applicable=applies(K), min_slack=None, argmin=None, grid_points=0)
         if entry["applicable"]:
-            points, slacks = evaluate(K, n, grid_points)
+            points, slacks = evaluate(K, n)
             tracker = _Tracker()
             for slack, at in zip(slacks, points):
                 tracker.add(slack, at)

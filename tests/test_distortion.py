@@ -735,12 +735,12 @@ class TestInequalityReport:
         assert not by_id["power-envelope-crossing"]["applicable"]
 
     def test_argmin_reported_inside_grid(self):
-        report = distortion_inequality_report(1.5, grid_points=501)
+        report = distortion_inequality_report(1.5)
         entry = next(
             e for e in report["entries"] if e["check_id"] == "log-power-transfer"
         )
         assert 0.0 < entry["argmin"] <= 50.0
-        assert entry["grid_points"] == 1002
+        assert entry["grid_points"] == 4002
 
 
 class TestDistortionBoundRecord:

@@ -999,10 +999,10 @@ class TestPoissonBall3:
             calls.append(xi.shape)
             return xi
 
-        poisson_ball3(SphereBoundaryFunction(oracle, 1.0), x, 16)
+        poisson_ball3(SphereBoundaryFunction(oracle, 1.0), x)
         assert len(calls) == 1
         m, three = calls[0]
-        assert three == 3 and m % 16 == 0 and m >= 16 * 16
+        assert three == 3 and m % 64 == 0 and m >= 64 * 64
 
     @pytest.mark.parametrize("n", [8, 32, 64])
     def test_gauss_legendre_is_leggauss_built_once(self, n):

@@ -809,7 +809,35 @@ class TestMuBounds:
         x, y = (1.0, 0.0), (1.1, 0.0)
         iv = mu_bounds(punctured_plane, x, y)
         assert iv.hi <= 2.0 * math.pi / math.log(10.0) + 1e-12
-        assert iv.hi == pytest.approx(gamma2(10.0), rel=1e-12)
+        # the ball about y, of radius d(y) = 1.1, gives the tighter gamma2(11)
+        assert iv.hi == pytest.approx(gamma2(11.0), rel=1e-12)
+
+    def test_symmetric_in_the_pair(self, half_plane):
+        # the concentric-ball comparison took d(x) only: at k = 1 this disk
+        # pair read an upper end of 1017.9 one way and 4.5587 the other
+        disk = canonical_domain("ball", 2)
+        rng = np.random.default_rng(34)
+        pairs = [(disk, (0.9, 0.0), (0.5, 0.0), 1.0)]
+        for _ in range(25):
+            r = rng.uniform(0.0, 0.95, 2)
+            a = rng.uniform(0.0, 2.0 * math.pi, 2)
+            x = (float(r[0] * math.cos(a[0])), float(r[0] * math.sin(a[0])))
+            y = (float(r[1] * math.cos(a[1])), float(r[1] * math.sin(a[1])))
+            pairs.append((disk, x, y, hyperbolic_ball(x, y)))
+            v = rng.uniform([-2.0, 0.01, -2.0, 0.01], [2.0, 3.0, 2.0, 3.0])
+            x, y = (float(v[0]), float(v[1])), (float(v[2]), float(v[3]))
+            pairs.append((half_plane, x, y, quasihyperbolic_exact("half_space", x, y)))
+        for D, x, y, k in pairs:
+            there = mu_bounds(D, x, y, c_n=0.1, k_value=k)
+            back = mu_bounds(D, y, x, c_n=0.1, k_value=k)
+            assert (there.lo, there.hi) == (back.lo, back.hi), (D.name, x, y)
+        iv = mu_bounds(disk, (0.9, 0.0), (0.5, 0.0), k_value=1.0)
+        assert iv.hi == pytest.approx(gamma2(0.5 / 0.4), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    def test_refuses_non_positive_k(self, half_plane, k):
+        with pytest.raises(ValueError, match="k_value"):
+            mu_bounds(half_plane, (0.0, 1.0), (0.5, 1.0), k_value=k)
 
     def test_degenerate(self, punctured_plane):
         iv = mu_bounds(punctured_plane, (1.0, 0.0), (1.0, 0.0))
@@ -916,6 +944,14 @@ class TestCanonicalDomains:
             canonical_domain("ball", 2).with_flags(uniform_constant=0.5)
         with pytest.raises(ValueError):
             canonical_domain("ball", 2).with_flags(qed_constant=2.0)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{"uniform_constant": math.nan}, {"uniform_constant": math.inf}, {"diam": math.nan}],
+    )
+    def test_flag_validation_refuses_non_finite(self, flags):
+        with pytest.raises(ValueError):
+            canonical_domain("ball", 2).with_flags(**flags)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
